@@ -102,12 +102,13 @@ def _cmd_enumerate(args) -> int:
     limits = search.SearchLimits(budget_seconds=args.budget_seconds)
     report = search.enumerate_ulrich(ft, limits=limits, workers=args.threads,
                                      method=args.method)
-    lines = [core.format_partition(P) for P in report.classes]
-    lines.append(f"count {report.count} "
-                 f"({'complete' if report.completed else 'INCOMPLETE'}, "
-                 f"{report.nodes} nodes, {report.elapsed:.2f}s)")
     payload = search.report_to_dict(report)
     payload["command"] = "enumerate"
+    # The text lines reuse the class strings already formatted for the JSON.
+    lines = payload["classes"] + [
+        f"count {report.count} "
+        f"({'complete' if report.completed else 'INCOMPLETE'}, "
+        f"{report.nodes} nodes, {report.elapsed:.2f}s)"]
     _emit(args, payload, lines)
     return EXIT_OK if report.completed else EXIT_BUDGET
 

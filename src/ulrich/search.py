@@ -29,6 +29,14 @@ Two independent engines:
   class is discovered exactly once.  Partitions are reported in canonical
   form (smallest entry 0).
 
+  The walk is one recursive closure whose arguments are the covered-time
+  bitmask and the number of placed entries; the entries themselves sit in
+  per-block lists, appended before a recursive call and popped after it.
+  Both moves read only each block's top and bottom position at t0, and the
+  crossing test against an adjacent block needs no division.  The tests pin
+  the node count of several types, and a node limit stops the walk at
+  exactly that node.
+
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
 """
@@ -85,6 +93,10 @@ class SearchReport:
 
 class BudgetExhausted(Exception):
     """Raised internally when a limit trips; callers receive completed=False."""
+
+
+# A node count no search reaches: the next limit check when there are none.
+_NEVER = 1 << 62
 
 
 def report_to_dict(report: SearchReport) -> dict:
@@ -186,17 +198,15 @@ class _Searcher:
     """Depth-first walk over partial placements, one per equivalence class.
 
     ``det`` holds the placed entries per block; ``covered`` is a bitmask with
-    bit t-1 set when time t is realized by a placed pair.  Snapshots taken at
-    a fixed depth let the search resume in worker processes.
+    bit t-1 set when time t is realized by a placed pair; ``placed`` counts
+    the placed entries.  Snapshots of these three taken at a fixed depth let
+    the search resume in worker processes.
     """
 
     def __init__(self, ft: FlagType, deadline: float | None,
                  max_nodes: int | None):
         self.lengths = ft.lengths
-        self.r = ft.r
         self.N = ft.dimension
-        self.total = sum(ft.lengths)
-        self.full_bit = 1 << self.N
         self.det = [[] for _ in ft.lengths]
         self.covered = 0
         self.placed = 0
@@ -204,18 +214,29 @@ class _Searcher:
         self.deadline = deadline
         self.max_nodes = max_nodes
         self.found: list[tuple[tuple[int, ...], ...]] = []
-        self.frontier: list | None = None
-        self.frontier_depth = 0
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+    def _next_tick(self, nodes: int) -> int:
+        """The first node count after ``nodes`` at which a limit may trip."""
+        due = _NEVER
+        if self.max_nodes is not None:
+            due = self.max_nodes + 1
+        if self.deadline is not None:
+            due = min(due, (nodes // 1024 + 1) * 1024)
+        return due
+
+    def _tick(self, nodes: int) -> int:
+        """Check the limits at node count ``nodes``; return the next count due.
+
+        The node cap is exact and the clock is read every 1024 nodes.
+        """
+        if self.max_nodes is not None and nodes > self.max_nodes:
             raise BudgetExhausted
-        if self.deadline is not None and self.nodes % 1024 == 0:
+        if self.deadline is not None and nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
                 raise BudgetExhausted
+        return self._next_tick(nodes)
 
     def _record(self):
         blocks = [sorted(block, reverse=True) for block in self.det]
@@ -223,8 +244,8 @@ class _Searcher:
         self.found.append(tuple(tuple(v - low for v in block)
                                 for block in blocks))
 
-    def snapshot(self):
-        return ([list(block) for block in self.det], self.covered, self.placed)
+    def snapshot(self, covered: int, placed: int):
+        return ([list(block) for block in self.det], covered, placed)
 
     def restore(self, state):
         det, covered, placed = state
@@ -232,163 +253,197 @@ class _Searcher:
         self.covered = covered
         self.placed = placed
 
-    # -- validation ---------------------------------------------------------
+    # -- the search ---------------------------------------------------------
 
-    def _cross_mask(self, b: int, x: int, t0: int, acc: int) -> int:
-        """Crossing-time bits of a new entry x in block b against placements.
+    def _walk(self, depth: int | None = None) -> list:
+        """Search every completion of the current state, depth first.
 
-        Returns -1 if any crossing is fractional, out of [t0, N], or lands on
-        a time already covered (or accumulated in acc); otherwise the updated
-        accumulator.
+        States with ``depth`` entries placed are not expanded but returned
+        as snapshots, in the order the search reaches them.  Each node is
+        one call of ``dfs(covered, placed)``; the placed entries live in
+        ``det``, appended before a recursive call and popped after it.
         """
-        N = self.N
-        covered = self.covered
-        for m, block in enumerate(self.det):
-            if m == b or not block:
-                continue
-            d = m - b
-            if d > 0:
-                for v in block:
-                    t, rem = divmod(x - v, d)
-                    if rem or t < t0 or t > N:
-                        return -1
-                    bit = 1 << (t - 1)
-                    if (covered | acc) & bit:
-                        return -1
-                    acc |= bit
-            else:
-                for v in block:
-                    t, rem = divmod(v - x, -d)
-                    if rem or t < t0 or t > N:
-                        return -1
-                    bit = 1 << (t - 1)
-                    if (covered | acc) & bit:
-                        return -1
-                    acc |= bit
-        return acc
-
-    def _try(self, adds, bits):
-        """Place entries, recurse, undo.  adds = [(block, value), ...]."""
-        for b, x in adds:
-            self.det[b].append(x)
-        self.covered |= bits
-        self.placed += len(adds)
-        self._dfs()
-        self.placed -= len(adds)
-        self.covered &= ~bits
-        for b, _ in reversed(adds):
-            self.det[b].pop()
-
-    # -- branching ----------------------------------------------------------
-
-    def _dfs(self):
-        self._tick()
-        if self.placed == self.total:
-            self._record()
-            return
-        if self.frontier is not None and self.placed >= self.frontier_depth:
-            self.frontier.append(self.snapshot())
-            return
-        t0 = (((self.covered + 1) & ~self.covered)).bit_length()
-        if t0 > self.N:
-            return
-        r = self.r
-        det = self.det
         lengths = self.lengths
-        vm = [r - m for m in range(r + 1)]
-        pos = [[v - t0 * vm[m] for v in block] for m, block in enumerate(det)]
-        if self.placed == 0:
-            # Gauge-fixing move: the pair realizing time 1 sits at position 0.
-            for i in range(r):
-                if not lengths[i]:
+        R = len(lengths)
+        N = self.N
+        total = sum(lengths)
+        stop = total if depth is None else min(depth, total)
+        det = self.det
+        record = self._record
+        frontier = []
+        # Entries of block m descend with velocity vm[m]; an entry v sits at
+        # position v - t*vm[m] at time t.
+        vm = [R - 1 - m for m in range(R)]
+        pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
+        # others[b]: (entries, m - b) for every block m other than b.
+        others = [[(det[m], m - b) for m in range(R) if m != b]
+                  for b in range(R)]
+        nodes = self.nodes
+        due = self._next_tick(nodes)
+
+        def cross(b, x, t0, acc):
+            """acc plus the crossing-time bits of entry x new in block b.
+
+            Every crossing with a placed entry must be an integer time in
+            [t0, N] whose bit is clear in acc; otherwise returns -1.
+            """
+            for blk, d in others[b]:
+                if d == 1 or d == -1:
+                    for v in blk:
+                        t = (x - v) * d
+                        if t < t0 or t > N:
+                            return -1
+                        bit = 1 << (t - 1)
+                        if acc & bit:
+                            return -1
+                        acc |= bit
+                else:
+                    for v in blk:
+                        t, rem = divmod(x - v, d)
+                        if rem or t < t0 or t > N:
+                            return -1
+                        bit = 1 << (t - 1)
+                        if acc & bit:
+                            return -1
+                        acc |= bit
+            return acc
+
+        def dfs(covered, placed):
+            nonlocal nodes, due
+            nodes += 1
+            if nodes >= due:
+                due = self._tick(nodes)
+            if placed >= stop:
+                if placed == total:
+                    record()
+                else:
+                    frontier.append(self.snapshot(covered, placed))
+                return
+            t0 = ((covered + 1) & ~covered).bit_length()
+            if t0 > N:
+                return
+            if not placed:
+                # Gauge-fixing move: the pair realizing time 1 sits at 0.
+                for i, j in pairs:
+                    det[i].append(t0 * vm[i])
+                    det[j].append(t0 * vm[j])
+                    dfs(covered | 1 << (t0 - 1), 2)
+                    det[j].pop()
+                    det[i].pop()
+                return
+
+            # Top and bottom position of each block at time t0.
+            tops = []
+            bots = []
+            for blk, v in zip(det, vm):
+                if blk:
+                    shift = t0 * v
+                    tops.append(max(blk) - shift)
+                    bots.append(min(blk) - shift)
+                else:
+                    tops.append(None)
+                    bots.append(None)
+
+            # (B) one new entry in block b meets a placed one: at the top of
+            # the later blocks or at the bottom of the earlier ones.
+            opened = []
+            for b in range(R):
+                blk = det[b]
+                if len(blk) >= lengths[b]:
                     continue
-                for j in range(i + 1, r + 1):
-                    if not lengths[j]:
+                opened.append(b)
+                high = low = None
+                for m in range(b + 1, R):
+                    q = tops[m]
+                    if q is not None and (high is None or q > high):
+                        high = q
+                for m in range(b):
+                    q = bots[m]
+                    if q is not None and (low is None or q < low):
+                        low = q
+                if high is None:
+                    targets = (low,)
+                elif low is None:
+                    targets = (high,)
+                else:
+                    # The set fixes the order the two targets are tried in.
+                    targets = {high, low}
+                shift = t0 * vm[b]
+                for q in targets:
+                    x = q + shift
+                    if x in blk:
                         continue
-                    x = t0 * vm[i]
-                    y = t0 * vm[j]
-                    self._try([(i, x), (j, y)], 1 << (t0 - 1))
-            return
+                    acc = cross(b, x, t0, covered)
+                    if acc >= 0:
+                        blk.append(x)
+                        dfs(acc, placed + 1)
+                        blk.pop()
 
-        # (B) one new entry meets a placed one.
-        for b in range(r + 1):
-            if len(det[b]) >= lengths[b]:
-                continue
-            later = [q for m in range(b + 1, r + 1) for q in pos[m]]
-            earlier = [q for m in range(b) for q in pos[m]]
-            targets = set()
-            if later:
-                targets.add(max(later))
-            if earlier:
-                targets.add(min(earlier))
-            for q in targets:
-                x = q + t0 * vm[b]
-                if x in det[b]:
-                    continue
-                acc = self._cross_mask(b, x, t0, 0)
-                if acc >= 0:
-                    self._try([(b, x)], acc)
-
-        # (D) two new entries meet each other at a common position p.
-        span = self.N - t0
-        for i in range(r):
-            if len(det[i]) >= lengths[i]:
-                continue
-            for j in range(i + 1, r + 1):
-                if len(det[j]) >= lengths[j]:
-                    continue
-                lo, hi = None, None
-                for m, qs in enumerate(pos):
-                    for q in qs:
-                        for s in (i, j):
-                            if m > s:
-                                wlo, whi = q + 1, q + span * (m - s)
-                            elif m < s:
-                                wlo, whi = q - span * (s - m), q - 1
-                            else:
-                                continue
-                            if lo is None or wlo > lo:
-                                lo = wlo
-                            if hi is None or whi < hi:
-                                hi = whi
+            # (D) new entries in blocks i < j meet each other at position p.
+            # Every placed entry at position q in block m bounds where a new
+            # entry of block s != m may sit at t0, since the two must cross
+            # at a time in [t0, N]: p in [q+1, q+span*(m-s)] when m > s and
+            # p in [q-span*(s-m), q-1] when m < s.  The block's top and
+            # bottom positions give the tightest of these bounds.
+            span = N - t0
+            for i, j in itertools.combinations(opened, 2):
+                lo = hi = None
+                for m in range(R):
+                    top = tops[m]
+                    if top is None:
+                        continue
+                    bot = bots[m]
+                    for s in (i, j):
+                        if m > s:
+                            wlo, whi = top + 1, bot + span * (m - s)
+                        elif m < s:
+                            wlo, whi = top - span * (s - m), bot - 1
+                        else:
+                            continue
+                        if lo is None or wlo > lo:
+                            lo = wlo
+                        if hi is None or whi < hi:
+                            hi = whi
                 if lo is None or lo > hi:
                     continue
+                bi, bj = det[i], det[j]
+                si, sj = t0 * vm[i], t0 * vm[j]
                 for p in range(lo, hi + 1):
-                    x = p + t0 * vm[i]
-                    y = p + t0 * vm[j]
-                    acc = self._cross_mask(i, x, t0, 1 << (t0 - 1))
+                    x = p + si
+                    y = p + sj
+                    acc = cross(i, x, t0, covered | 1 << (t0 - 1))
                     if acc < 0:
                         continue
-                    acc = self._cross_mask(j, y, t0, acc)
+                    acc = cross(j, y, t0, acc)
                     if acc < 0:
                         continue
-                    self._try([(i, x), (j, y)], acc)
+                    bi.append(x)
+                    bj.append(y)
+                    dfs(acc, placed + 2)
+                    bj.pop()
+                    bi.pop()
+
+        try:
+            dfs(self.covered, self.placed)
+        finally:
+            self.nodes = nodes
+        return frontier
 
     # -- entry points -------------------------------------------------------
 
     def run(self) -> bool:
         try:
-            self._dfs()
+            self._walk()
             return True
         except BudgetExhausted:
             return False
 
     def run_frontier(self, depth: int):
         """Collect resumable states at the given placement depth."""
-        self.frontier = []
-        self.frontier_depth = depth
         try:
-            self._dfs()
-            done = True
+            return self._walk(depth), True
         except BudgetExhausted:
-            done = False
-        states = self.frontier
-        self.frontier = None
-        return states, done
-
-
-def _blocks_to_partition(ft: FlagType, blocks) -> BlockedPartition:
-    return core.from_blocks(blocks)
+            return [], False
 
 
 def _subtree_worker(args):
@@ -435,7 +490,8 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     classes = tuple(sorted(
         (core.from_blocks(blocks) for blocks in set(found)),
         key=lambda P: P.entries))
-    assert len(classes) == len(found), "a class was generated twice"
+    if len(classes) != len(found):
+        raise RuntimeError(f"a class of {ft.lengths} was generated twice")
     return SearchReport(ft, classes, nodes, time.monotonic() - start,
                         completed)
 

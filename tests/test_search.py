@@ -8,10 +8,15 @@ classifications on mid-sized types where plain enumeration is hopeless.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from ulrich import core, families
+import ulrich
+from ulrich import core, families, search
 from ulrich.core import FlagType
 from ulrich.search import (SearchLimits, SearchSpec, baseline_oracle,
                            enumerate_ulrich, report_from_dict, report_to_dict,
@@ -119,6 +124,88 @@ class TestKnownClassifications:
     def test_rejects_empty_blocks(self):
         with pytest.raises(ValueError, match="nonempty"):
             time_branching_search(FlagType((2, 0, 1)))
+
+
+class TestSearchTree:
+    """The engine's tree is pinned: node counts are exact, not bounds."""
+
+    @pytest.mark.parametrize("lengths, nodes, count", [
+        ((2, 8, 1), 3406, 3),
+        ((2, 8, 2), 10884, 2),
+        ((1, 10, 1), 4004, 1024),
+        ((3, 5, 3), 2744, 0),
+        ((21, 2, 1), 538, 2),
+        ((2, 2, 2, 2), 187, 0),
+        ((1, 2, 2, 1, 1), 166, 0),
+        ((3, 4, 4), 1616, 0),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_nodes_and_count(self, lengths, nodes, count):
+        report = time_branching_search(FlagType(lengths))
+        assert report.completed
+        assert (report.nodes, report.count) == (nodes, count)
+
+    @pytest.mark.parametrize("lengths", [(2, 8, 2), (1, 10, 1)],
+                             ids=lambda v: "-".join(map(str, v)))
+    def test_two_workers_match_serial(self, lengths):
+        serial = time_branching_search(FlagType(lengths))
+        parallel = time_branching_search(FlagType(lengths), workers=2)
+        assert parallel.completed
+        assert parallel.classes == serial.classes
+
+    def test_node_cap_is_exact(self):
+        ft = FlagType((2, 8, 1))
+        for cap in (10, 1024, 3405):
+            report = time_branching_search(ft, SearchLimits(max_nodes=cap))
+            assert not report.completed
+            assert report.nodes == cap + 1
+        report = time_branching_search(ft, SearchLimits(max_nodes=3406))
+        assert report.completed and report.nodes == 3406
+
+
+_RECORD_TWICE = """
+from ulrich import search
+from ulrich.core import FlagType
+
+record = search._Searcher._record
+
+
+def record_twice(self):
+    record(self)
+    record(self)
+
+
+search._Searcher._record = record_twice
+"""
+
+
+class TestDuplicateClassCheck:
+    """A class found twice is an engine fault and must never pass silently."""
+
+    def test_raises(self, monkeypatch):
+        record = search._Searcher._record
+
+        def record_twice(self):
+            record(self)
+            record(self)
+
+        monkeypatch.setattr(search._Searcher, "_record", record_twice)
+        with pytest.raises(RuntimeError, match="twice"):
+            time_branching_search(FlagType((2, 2, 2)))
+
+    def test_raises_under_optimize(self):
+        code = _RECORD_TWICE + textwrap.dedent("""
+            assert False, "asserts are stripped under -O"
+            try:
+                search.time_branching_search(FlagType((2, 2, 2)))
+            except RuntimeError as exc:
+                print("RuntimeError:", exc)
+            """)
+        src = os.path.dirname(os.path.dirname(ulrich.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("RuntimeError:"), result.stdout
 
 
 class TestWorkers:
