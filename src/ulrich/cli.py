@@ -52,6 +52,13 @@ def _witness_text(verdict: core.UlrichVerdict) -> str | None:
     return f"{kind} {t}"
 
 
+def _limits(args) -> search.SearchLimits:
+    budget = args.budget_seconds
+    if args.threads < 1 or not (budget is None or budget >= 0):  # NaN fails
+        raise _usage("--threads must be at least 1, --budget-seconds at least 0")
+    return search.SearchLimits(budget_seconds=budget)
+
+
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_check(args) -> int:
@@ -99,7 +106,7 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ft = _parse_type(args.type)
-    limits = search.SearchLimits(budget_seconds=args.budget_seconds)
+    limits = _limits(args)
     report = search.enumerate_ulrich(ft, limits=limits, workers=args.threads,
                                      method=args.method)
     payload = search.report_to_dict(report)
@@ -204,7 +211,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    limits = search.SearchLimits(budget_seconds=args.budget_seconds)
+    limits = _limits(args)
     if args.claim == "multistep":
         bound = args.bound if args.bound is not None else 7
         done = search.verify_no_multistep(bound, limits, args.threads,
@@ -275,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of text")
-    common.add_argument("--budget-seconds", type=float, default=None,
-                        help="stop long searches after this wall time")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for searches")
+    # Only the subcommands that run searches take resource options.
+    searching = argparse.ArgumentParser(add_help=False, parents=[common])
+    searching.add_argument("--budget-seconds", type=float, default=None,
+                           help="stop long searches after this wall time")
+    searching.add_argument("--threads", type=int, default=1,
+                           help="worker processes for searches")
 
     parser = argparse.ArgumentParser(
         prog="ulrich",
@@ -297,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write an SVG ('-' for stdout) instead of ASCII")
     p.set_defaults(func=_cmd_diagram)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[searching],
                        help="classify all Ulrich partitions of a type")
     p.add_argument("type", help='comma-separated block lengths, e.g. "2,8,2"')
     p.add_argument("--method", default="auto",
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[searching],
                        help="sweep a nonexistence claim over many types")
     p.add_argument("claim", choices=["multistep", "conjecture"])
     p.add_argument("bound", nargs="?", type=int, default=None,

@@ -7,12 +7,14 @@ still.  Two entries in different blocks therefore meet exactly once, at the
 positive rational time (x - y)/(j - i) for x in block i, y in block j, i < j.
 
 The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
-exactly the integers 1..N, each hit once.  Everything in this module is exact
-integer/rational arithmetic; no floats.
+exactly the integers 1..N, each hit once.  ``schedule_ok`` is the one test of
+that; ``is_ulrich`` adds a witness on failure.  Everything in this module is
+exact integer/rational arithmetic; no floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,7 +185,6 @@ class UlrichVerdict:
 
     is_ulrich: bool
     witness: tuple[str, Fraction] | None
-    schedule: CollisionSchedule
 
     def __bool__(self) -> bool:
         return self.is_ulrich
@@ -212,32 +213,53 @@ def collision_schedule(P: BlockedPartition) -> CollisionSchedule:
     return CollisionSchedule(tuple(events))
 
 
+def schedule_ok(blocks, N: int) -> bool:
+    """The Ulrich test on integer entry blocks, stopping at the first bad pair.
+
+    Every cross-block pair must meet at an integer time in [1, N], all N
+    times distinct (hence covering [1, N]).
+    """
+    covered = 0
+    for i, bi in enumerate(blocks):
+        for j in range(i + 1, len(blocks)):
+            d = j - i
+            for x in bi:
+                for y in blocks[j]:
+                    t, rem = divmod(x - y, d)
+                    if rem or t < 1 or t > N:
+                        return False
+                    bit = 1 << t
+                    if covered & bit:
+                        return False
+                    covered |= bit
+    return True
+
+
 def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
     """Test whether the meeting times are exactly the multiset {1, ..., N}.
 
-    Invalid partitions (non-decreasing entries) never reach here: the
+    On failure the witness is the smallest meeting time that is non-integral
+    or repeats an earlier one, else the first time in 1..N that no pair meets
+    at.  Invalid partitions (non-decreasing entries) never reach here: the
     BlockedPartition constructor rejects them, which keeps "malformed input"
     distinct from a genuine negative verdict.
     """
-    sched = collision_schedule(P)
-    N = P.dimension
-    witness = None
-    seen = set()
-    for ev in sched.events:
-        t = ev.time
-        if t.denominator != 1:
-            witness = ("non-integral-time", t)
-            break
-        if t in seen:
-            witness = ("duplicate-time", t)
-            break
-        seen.add(t)
-    if witness is None:
-        for s in range(1, N + 1):
-            if Fraction(s) not in seen:
-                witness = ("missing-time", Fraction(s))
-                break
-    return UlrichVerdict(witness is None, witness, sched)
+    blocks, N = P.blocks, P.dimension
+    if schedule_ok(blocks, N):
+        return UlrichVerdict(True, None)
+    # Failures only: sort the times (x - y)/d as the integers (x - y)*(L/d).
+    L = math.lcm(*range(1, len(blocks)))
+    times = sorted((x - y) * (L // (j - i))
+                   for i, bi in enumerate(blocks)
+                   for j in range(i + 1, len(blocks))
+                   for x in bi for y in blocks[j])
+    for T, prev in zip(times, [None] + times):
+        if T % L or T == prev:
+            kind = "non-integral-time" if T % L else "duplicate-time"
+            return UlrichVerdict(False, (kind, Fraction(T, L)))
+    seen = set(times)
+    s = next(s for s in range(1, N + 1) if s * L not in seen)
+    return UlrichVerdict(False, ("missing-time", Fraction(s)))
 
 
 def shift(P: BlockedPartition, c: int) -> BlockedPartition:

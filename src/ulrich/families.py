@@ -1,8 +1,8 @@
 """Constructors for the known families of Ulrich partitions.
 
 Every constructor returns a verified partition: the Ulrich property and the
-expected type are asserted before the value is handed back, so a bug here
-raises immediately rather than contaminating downstream counts.
+expected type are checked before the value is handed back, so a bug here
+raises RuntimeError, even under -O, rather than contaminating later counts.
 
 Families covered:
 
@@ -24,9 +24,12 @@ from .core import BlockedPartition, FlagType
 
 
 def _checked(P: BlockedPartition, lengths) -> BlockedPartition:
-    assert P.type == FlagType(lengths), f"built type {P.type}, wanted {lengths}"
+    if P.type != FlagType(lengths):
+        raise RuntimeError(f"built type {P.type}, wanted {lengths}")
     verdict = core.is_ulrich(P)
-    assert verdict, f"constructed partition {P} is not Ulrich: {verdict.witness}"
+    if not verdict:
+        raise RuntimeError(
+            f"constructed partition {P} is not Ulrich: {verdict.witness}")
     return P
 
 

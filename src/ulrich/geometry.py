@@ -114,7 +114,8 @@ def schur_dim(mu, n: int) -> int:
             leg = sum(1 for other in parts[i + 1:] if other > j)
             den *= arm + leg + 1
     dim, rem = divmod(num, den)
-    assert rem == 0, "hook-content product must divide exactly"
+    if rem:
+        raise RuntimeError("hook-content product must divide exactly")
     return dim
 
 
@@ -128,7 +129,8 @@ def schur_dim_weyl(mu, n: int) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             dim *= Fraction(full[i] - full[j] + j - i, j - i)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise RuntimeError(f"Weyl's formula gave a non-integer dimension {dim}")
     return int(dim)
 
 
@@ -181,7 +183,8 @@ def bwb_cohomology(w: SchurWeight, t: int = 0) -> CohomologyAnswer:
     q = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
     mu = tuple(x - s for x, s in zip(sorted(v, reverse=True), rho(n)))
     dim = schur_dim(mu, n)
-    assert dim == schur_dim_weyl(mu, n), "hook-content vs Weyl mismatch"
+    if dim != schur_dim_weyl(mu, n):
+        raise RuntimeError("hook-content vs Weyl mismatch")
     return CohomologyAnswer(q, dim, mu)
 
 
@@ -223,7 +226,8 @@ def flag_dimension(ft: FlagType) -> int:
     n = ft.n
     ks = (0,) + ft.k
     steps = sum((ks[i] - ks[i - 1]) * (n - ks[i]) for i in range(1, len(ks)))
-    assert pairs == steps, "the two dimension formulas disagree"
+    if pairs != steps:
+        raise RuntimeError("the two dimension formulas disagree")
     return pairs
 
 
@@ -277,7 +281,8 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
             u, w = block_of[i], block_of[j]
             if u != w:
                 deg *= Fraction(levels[u] - levels[w], j - i)
-    assert deg.denominator == 1 and deg > 0
+    if deg.denominator != 1 or deg <= 0:
+        raise RuntimeError(f"degree must be a positive integer, got {deg}")
     return int(deg)
 
 

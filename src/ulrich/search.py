@@ -48,7 +48,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .core import BlockedPartition, FlagType
@@ -60,16 +60,6 @@ class SearchLimits:
 
     budget_seconds: float | None = None
     max_nodes: int | None = None
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """A search request: what type to search and under what resources."""
-
-    type: FlagType
-    limits: SearchLimits = field(default_factory=SearchLimits)
-    workers: int = 1
-    method: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -122,28 +112,6 @@ def report_from_dict(data: dict) -> SearchReport:
 # Baseline oracle
 # --------------------------------------------------------------------------
 
-def _schedule_ok(blocks, N: int) -> bool:
-    """Exact Ulrich test on integer entries, specialized for speed.
-
-    Every cross-block pair must meet at an integer time in [1, N], all N
-    times distinct (hence covering [1, N]).
-    """
-    covered = 0
-    for i, bi in enumerate(blocks):
-        for j in range(i + 1, len(blocks)):
-            d = j - i
-            for x in bi:
-                for y in blocks[j]:
-                    t, rem = divmod(x - y, d)
-                    if rem or t < 1 or t > N:
-                        return False
-                    bit = 1 << t
-                    if covered & bit:
-                        return False
-                    covered |= bit
-    return True
-
-
 def _window_candidates(ft: FlagType):
     """Yield every canonical entry tuple of the given type inside the windows.
 
@@ -186,7 +154,7 @@ def baseline_oracle(ft: FlagType) -> tuple[BlockedPartition, ...]:
         raise ValueError(f"baseline oracle is limited to N <= 14, got N = {N}")
     found = [core.from_blocks(blocks)
              for blocks in _window_candidates(ft)
-             if _schedule_ok(blocks, N)]
+             if core.schedule_ok(blocks, N)]
     return tuple(sorted(found, key=lambda P: P.entries))
 
 
@@ -243,9 +211,6 @@ class _Searcher:
         low = blocks[-1][-1]
         self.found.append(tuple(tuple(v - low for v in block)
                                 for block in blocks))
-
-    def snapshot(self, covered: int, placed: int):
-        return ([list(block) for block in self.det], covered, placed)
 
     def restore(self, state):
         det, covered, placed = state
@@ -317,7 +282,7 @@ class _Searcher:
                 if placed == total:
                     record()
                 else:
-                    frontier.append(self.snapshot(covered, placed))
+                    frontier.append(([blk[:] for blk in det], covered, placed))
                 return
             t0 = ((covered + 1) & ~covered).bit_length()
             if t0 > N:
@@ -485,7 +450,8 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
                 for sub_found, sub_nodes, sub_done in pool.imap_unordered(
                         _subtree_worker, jobs, chunksize=8):
                     found.extend(sub_found)
-                    nodes += sub_nodes
+                    # The subtree's root was counted by the frontier pass.
+                    nodes += sub_nodes - 1
                     completed = completed and sub_done
     classes = tuple(sorted(
         (core.from_blocks(blocks) for blocks in set(found)),
@@ -496,20 +462,13 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
                         completed)
 
 
-def enumerate_ulrich(spec: SearchSpec | FlagType,
-                     limits: SearchLimits | None = None,
+def enumerate_ulrich(ft: FlagType, limits: SearchLimits | None = None,
                      workers: int = 1, method: str = "auto") -> SearchReport:
     """Classify a type, dispatching on the requested method.
 
     ``auto`` and ``time-branching`` run the fast engine; ``baseline`` runs
     the enumeration oracle (N <= 14 only).
     """
-    if isinstance(spec, SearchSpec):
-        ft, limits, workers, method = (spec.type, spec.limits, spec.workers,
-                                       spec.method)
-    else:
-        ft = FlagType(spec.lengths)
-        limits = limits or SearchLimits()
     if method in ("auto", "time-branching"):
         return time_branching_search(ft, limits, workers)
     if method == "baseline":

@@ -30,6 +30,31 @@ def brute_is_ulrich(P: BlockedPartition) -> bool:
     return times == want
 
 
+def reference_witness(P: BlockedPartition):
+    """The Ulrich-test witness from the definition, or None for Ulrich input.
+
+    Every meeting time as a Fraction, sorted: the first one that is
+    non-integral or repeats an earlier one, else the first time in 1..N that
+    no pair meets at.  Shares no code with core.is_ulrich.
+    """
+    blocks = P.blocks
+    times = sorted(Fraction(x - y, j - i)
+                   for i, bi in enumerate(blocks)
+                   for j in range(i + 1, len(blocks))
+                   for x in bi for y in blocks[j])
+    seen = set()
+    for t in times:
+        if t.denominator != 1:
+            return "non-integral-time", t
+        if t in seen:
+            return "duplicate-time", t
+        seen.add(t)
+    for s in range(1, P.dimension + 1):
+        if s not in seen:
+            return "missing-time", Fraction(s)
+    return None
+
+
 def repeated_position_ulrich(P: BlockedPartition) -> bool:
     """Second independent formulation: every time 1..N has a coincidence."""
     for t in range(1, P.dimension + 1):

@@ -189,10 +189,8 @@ def _bridge_worker(lengths):
     candidates = ulrich = 0
     for blocks in search._window_candidates(ft):
         P = core.from_blocks(blocks)
-        by_schedule = search._schedule_ok(blocks, N)
-        by_bott = geometry.is_ulrich_via_bwb(P)
-        by_scan = bool(core.is_ulrich(P))
-        if not (by_schedule == by_bott == by_scan):
+        by_schedule = core.schedule_ok(blocks, N)
+        if by_schedule != geometry.is_ulrich_via_bwb(P):
             return lengths, candidates, ulrich, str(P)
         candidates += 1
         ulrich += by_schedule

@@ -292,6 +292,23 @@ class TestParser:
     def test_unknown_command(self):
         assert run(["transmogrify"]) == 2
 
+    def test_resource_options_only_on_searches(self, capsys):
+        # check runs no search, so it must not accept and then ignore these
+        assert run(["check", "12,4|3,0|-2,-8", "--threads", "2"]) == 2
+        assert run(["geometry", "4|3,0|-2", "--budget-seconds", "5"]) == 2
+        assert run(["enumerate", "2,2,2", "--threads", "2"]) == 0
+        assert "count 2 (complete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "multistep", "4", "--threads", "0"],
+        ["enumerate", "2,2,2", "--threads", "-1"],
+        ["enumerate", "2,2,2", "--budget-seconds", "-1"],
+        ["verify", "multistep", "4", "--budget-seconds", "nan"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_bad_resource_values(self, argv, capsys):
+        assert run(argv) == 2
+        assert "must be at least" in capsys.readouterr().err
+
     def test_console_script_entry(self):
         # the console script declared in pyproject.toml resolves to cli.main
         scripts = declared_scripts()

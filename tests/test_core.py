@@ -132,6 +132,12 @@ class TestIsUlrich:
         assert not verdict
         assert verdict.witness == ("missing-time", Fraction(1))
 
+    @given(helpers.blocked_partitions(max_blocks=5))
+    @settings(max_examples=300)
+    def test_witness_matches_reference(self, P):
+        # five blocks give pair distances d = 1..4, so times in quarters
+        assert core.is_ulrich(P).witness == helpers.reference_witness(P)
+
     @given(helpers.blocked_partitions())
     @settings(max_examples=300)
     def test_matches_brute_force(self, P):

@@ -9,9 +9,14 @@ the cross-family coincidences.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import ulrich
 from ulrich import core, families
 from ulrich.core import parse_partition
 
@@ -241,3 +246,37 @@ class TestSporadic:
         assert core.equivalent(families.sporadic("221"),
                                families.elongated_family(1, 1))
         assert core.equivalent(families.sporadic("222"), families.p_u(1))
+
+
+_NEVER_ULRICH = """
+from ulrich import core, families
+
+is_ulrich = core.is_ulrich
+core.is_ulrich = lambda P: is_ulrich(core.parse_partition("2|0"))
+"""
+
+
+class TestSelfCheck:
+    """A builder whose output fails the Ulrich test must raise, even under -O."""
+
+    def test_raises(self, monkeypatch):
+        # every verdict becomes that of a partition that is not Ulrich
+        negative = core.is_ulrich(parse_partition("2|0"))
+        monkeypatch.setattr(core, "is_ulrich", lambda P: negative)
+        with pytest.raises(RuntimeError, match="not Ulrich"):
+            families.p_u(1)
+
+    def test_raises_under_optimize(self):
+        code = _NEVER_ULRICH + textwrap.dedent("""
+            assert False, "asserts are stripped under -O"
+            try:
+                families.p_u(1)
+            except RuntimeError as exc:
+                print("RuntimeError:", exc)
+            """)
+        src = os.path.dirname(os.path.dirname(ulrich.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("RuntimeError:"), result.stdout

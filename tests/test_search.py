@@ -18,7 +18,7 @@ import pytest
 import ulrich
 from ulrich import core, families, search
 from ulrich.core import FlagType
-from ulrich.search import (SearchLimits, SearchSpec, baseline_oracle,
+from ulrich.search import (SearchLimits, baseline_oracle,
                            enumerate_ulrich, report_from_dict, report_to_dict,
                            symmetric_pairing, time_branching_search,
                            verify_conjecture_sweep, verify_no_multistep)
@@ -151,6 +151,7 @@ class TestSearchTree:
         parallel = time_branching_search(FlagType(lengths), workers=2)
         assert parallel.completed
         assert parallel.classes == serial.classes
+        assert parallel.nodes == serial.nodes
 
     def test_node_cap_is_exact(self):
         ft = FlagType((2, 8, 1))
@@ -264,9 +265,10 @@ class TestEnumerateDispatch:
         assert report.classes == baseline_oracle(FlagType((1, 2, 1)))
 
     def test_spec_object(self):
-        spec = SearchSpec(FlagType((2, 2, 1)), SearchLimits(max_nodes=10 ** 6),
-                          workers=1, method="time-branching")
-        report = enumerate_ulrich(spec)
+        # The full request (limits, workers, method) given as keywords.
+        report = enumerate_ulrich(FlagType((2, 2, 1)),
+                                  limits=SearchLimits(max_nodes=10 ** 6),
+                                  workers=1, method="time-branching")
         assert report.completed and report.count == 2
 
     def test_unknown_method(self):
