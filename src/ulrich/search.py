@@ -21,6 +21,17 @@ Two independent engines:
   - two new entries in blocks i < j meeting each other range over a finite
     window of common positions, each placed entry contributing a two-sided
     bound because every pair must cross at an integer time in [t0, N].
+    Each open block's window is worked out once per node, and a pair's
+    window is the overlap of its two blocks' windows.  Integer crossings
+    also force a congruence: a new entry x of block s meets a placed entry
+    v of block m at the time (x - v)/(m - s), so x = v (mod |m - s|).  The
+    conditions of one block fold into a single x = r (mod M), or into
+    none; the two blocks of a pair combine by the Chinese remainder theorem
+    into one congruence for the meeting position, and the window is walked
+    in steps of its modulus.  The skipped positions are exactly those whose
+    crossing test fails on a remainder, so the stepping drops no child and
+    only saves the tests.  The residues are worked out only for blocks of
+    a pair whose window is not empty.
 
   Every branch is validated by computing the new entry's crossing times with
   all placed entries: each must be an integer in [t0, N] whose slot is still
@@ -32,10 +43,10 @@ Two independent engines:
   The walk is one recursive closure whose arguments are the covered-time
   bitmask and the number of placed entries; the entries themselves sit in
   per-block lists, appended before a recursive call and popped after it.
-  Both moves read only each block's top and bottom position at t0, and the
-  crossing test against an adjacent block needs no division.  The tests pin
-  the node count of several types, and a node limit stops the walk at
-  exactly that node.
+  Both moves bound positions by each block's top and bottom at t0 (only
+  the residues read every placed entry), and the crossing test against an
+  adjacent block needs no division.  The tests pin the node count of
+  several types, and a node limit stops the walk at exactly that node.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
@@ -45,8 +56,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -162,6 +175,21 @@ def baseline_oracle(ft: FlagType) -> tuple[BlockedPartition, ...]:
 # Time-branching engine
 # --------------------------------------------------------------------------
 
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
+    """Solve x = r1 (mod m1) and x = r2 (mod m2) for moduli >= 1.
+
+    Returns (r, lcm(m1, m2)) with 0 <= r < lcm, or None when the two
+    congruences have no common solution.
+    """
+    g = math.gcd(m1, m2)
+    diff = r2 - r1
+    if diff % g:
+        return None
+    k = diff // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    m = m1 // g * m2
+    return (r1 + m1 * k) % m, m
+
+
 class _Searcher:
     """Depth-first walk over partial placements, one per equivalence class.
 
@@ -273,6 +301,26 @@ class _Searcher:
                         acc |= bit
             return acc
 
+        def residue(s):
+            """The congruence x = r (mod M), as (r, M), that a new entry x
+            of block s meets exactly when its crossings with the placed
+            entries are all integers; None when no x does."""
+            r, M = 0, 1
+            for m in range(R):
+                d = abs(m - s)
+                blk = det[m]
+                if d < 2 or not blk:
+                    continue
+                v0 = blk[0] % d
+                for v in blk:
+                    if v % d != v0:
+                        return None
+                solved = _crt(r, M, v0, d)
+                if solved is None:
+                    return None
+                r, M = solved
+            return r, M
+
         def dfs(covered, placed):
             nonlocal nodes, due
             nodes += 1
@@ -311,28 +359,51 @@ class _Searcher:
 
             # (B) one new entry in block b meets a placed one: at the top of
             # the later blocks or at the bottom of the earlier ones.
-            opened = []
+            # (D) two new entries in blocks i < j meet each other at a
+            # position p.  Every placed entry at position q in block m bounds
+            # where a new entry of block s != m may sit at t0, since the two
+            # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
+            # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
+            # top and bottom give the tightest of these bounds; windows holds
+            # (s, lo, hi) for each open block whose window is not empty.
+            span = N - t0
+            windows = []
             for b in range(R):
                 blk = det[b]
                 if len(blk) >= lengths[b]:
                     continue
-                opened.append(b)
-                high = low = None
+                high = low = lo = hi = None
                 for m in range(b + 1, R):
                     q = tops[m]
-                    if q is not None and (high is None or q > high):
-                        high = q
+                    if q is not None:
+                        if high is None or q > high:
+                            high = q
+                        q = bots[m] + span * (m - b)
+                        if hi is None or q < hi:
+                            hi = q
                 for m in range(b):
                     q = bots[m]
-                    if q is not None and (low is None or q < low):
-                        low = q
+                    if q is not None:
+                        if low is None or q < low:
+                            low = q
+                        q = tops[m] - span * (b - m)
+                        if lo is None or q > lo:
+                            lo = q
                 if high is None:
                     targets = (low,)
+                    hi = low - 1
                 elif low is None:
                     targets = (high,)
+                    lo = high + 1
                 else:
                     # The set fixes the order the two targets are tried in.
                     targets = {high, low}
+                    if high >= lo:
+                        lo = high + 1
+                    if low <= hi:
+                        hi = low - 1
+                if lo <= hi:
+                    windows.append((b, lo, hi))
                 shift = t0 * vm[b]
                 for q in targets:
                     x = q + shift
@@ -344,36 +415,37 @@ class _Searcher:
                         dfs(acc, placed + 1)
                         blk.pop()
 
-            # (D) new entries in blocks i < j meet each other at position p.
-            # Every placed entry at position q in block m bounds where a new
-            # entry of block s != m may sit at t0, since the two must cross
-            # at a time in [t0, N]: p in [q+1, q+span*(m-s)] when m > s and
-            # p in [q-span*(s-m), q-1] when m < s.  The block's top and
-            # bottom positions give the tightest of these bounds.
-            span = N - t0
-            for i, j in itertools.combinations(opened, 2):
-                lo = hi = None
-                for m in range(R):
-                    top = tops[m]
-                    if top is None:
-                        continue
-                    bot = bots[m]
-                    for s in (i, j):
-                        if m > s:
-                            wlo, whi = top + 1, bot + span * (m - s)
-                        elif m < s:
-                            wlo, whi = top - span * (s - m), bot - 1
-                        else:
-                            continue
-                        if lo is None or wlo > lo:
-                            lo = wlo
-                        if hi is None or whi < hi:
-                            hi = whi
-                if lo is None or lo > hi:
+            # A pair's window is the overlap of its blocks' windows.  The
+            # crossings of a new entry x of block s with a placed entry v of
+            # block m are integers only if x = v (mod |m-s|); residue(s)
+            # folds these into one congruence x = r (mod M), worked out once
+            # per node and only for blocks of a pair whose window is open.
+            if len(windows) < 2:
+                return
+            residues = {}
+            for (i, lo, hi), (j, lo_j, hi_j) in itertools.combinations(
+                    windows, 2):
+                if lo_j > lo:
+                    lo = lo_j
+                if hi_j < hi:
+                    hi = hi_j
+                if lo > hi:
                     continue
-                bi, bj = det[i], det[j]
+                if i not in residues:
+                    residues[i] = residue(i)
+                if j not in residues:
+                    residues[j] = residue(j)
+                ri, rj = residues[i], residues[j]
+                if ri is None or rj is None:
+                    continue
                 si, sj = t0 * vm[i], t0 * vm[j]
-                for p in range(lo, hi + 1):
+                # x = p + si and y = p + sj: one congruence for p.
+                step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
+                if step is None:
+                    continue
+                rp, M = step
+                bi, bj = det[i], det[j]
+                for p in range(lo + (rp - lo) % M, hi + 1, M):
                     x = p + si
                     y = p + sj
                     acc = cross(i, x, t0, covered | 1 << (t0 - 1))
@@ -497,17 +569,41 @@ def _search_type_worker(args):
     return report_to_dict(report)
 
 
+def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
+    """Read the reports of a JSONL checkpoint, later lines winning.
+
+    A last line without its newline was torn by a crash mid-write: it is
+    skipped with a warning on stderr and cut from the file, so the next
+    record starts on a line of its own.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    whole, newline, tail = text.rpartition(b"\n")
+    if tail:
+        print(f"warning: checkpoint {path}: skipped a torn last line "
+              f"({len(tail)} bytes)", file=sys.stderr)
+        with open(path, "r+b") as fh:
+            fh.truncate(len(whole) + len(newline))
+    reports = {}
+    for line in whole.decode().splitlines():
+        if line.strip():
+            report = report_from_dict(json.loads(line))
+            reports[report.type.lengths] = report
+    return reports
+
+
 def _run_type_sweep(types, limits: SearchLimits, workers: int,
                     checkpoint_path: str | None = None):
-    """Search many types, optionally in parallel, with JSONL checkpointing."""
+    """Search many types, optionally in parallel, with JSONL checkpointing.
+
+    Returns {lengths: SearchReport} for exactly the given types.  A type
+    whose checkpointed report was stopped by a limit is searched again.
+    """
     done: dict[tuple[int, ...], SearchReport] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            for line in fh:
-                if line.strip():
-                    report = report_from_dict(json.loads(line))
-                    done[report.type.lengths] = report
-    todo = [ft for ft in types if ft.lengths not in done]
+        done = _load_checkpoint(checkpoint_path)
+    todo = [ft for ft in types
+            if ft.lengths not in done or not done[ft.lengths].completed]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
 
     def note(report: SearchReport):
@@ -530,7 +626,7 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
     finally:
         if sink:
             sink.close()
-    return done
+    return {ft.lengths: done[ft.lengths] for ft in types}
 
 
 def verify_no_multistep(max_total_length: int,

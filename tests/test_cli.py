@@ -204,6 +204,41 @@ class TestVerify:
         with open(path) as fh:
             assert sum(1 for line in fh if line.strip()) == 6
 
+    def test_rerun_after_budget(self, tmp_path, capsys):
+        # The clock is read every 1024 nodes, so a zero budget stops the
+        # 1116-node type 3,4,3 and no other type of the sweep.
+        path = str(tmp_path / "ck.jsonl")
+        argv = ["verify", "conjecture", "10", "--checkpoint", path]
+        assert run(argv + ["--budget-seconds", "0"]) == 3
+        assert "INCONCLUSIVE" in capsys.readouterr().out
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "type 3,4,3: 0 classes (1116 nodes)" in out
+        assert out.splitlines()[-1].startswith("HOLDS")
+
+    def test_torn_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "ck.jsonl"
+        assert run(["verify", "multistep", "4", "--checkpoint", str(path)]) == 0
+        with open(path, "a") as fh:
+            fh.write('{"schema": 1, "type": [1, 1, 1')
+        capsys.readouterr()
+        assert run(["verify", "multistep", "5", "--checkpoint", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped a torn last line" in captured.err
+        assert "HOLDS" in captured.out
+        lines = path.read_text().splitlines()
+        assert len(lines) == 6
+        assert all(json.loads(line)["completed"] for line in lines)
+
+    def test_checkpoint_of_other_claim(self, tmp_path, capsys):
+        path = str(tmp_path / "ck.jsonl")
+        assert run(["verify", "conjecture", "9", "--checkpoint", path]) == 0
+        capsys.readouterr()
+        assert run(["verify", "multistep", "4", "--checkpoint", path]) == 0
+        out = capsys.readouterr().out
+        assert "3,3,3" not in out
+        assert "type 1,1,1,1: 0 classes" in out
+
     def test_json(self, capsys):
         assert run(["verify", "--json", "multistep", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)

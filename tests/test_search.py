@@ -8,6 +8,8 @@ classifications on mid-sized types where plain enumeration is hopeless.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -138,6 +140,12 @@ class TestSearchTree:
         ((2, 2, 2, 2), 187, 0),
         ((1, 2, 2, 1, 1), 166, 0),
         ((3, 4, 4), 1616, 0),
+        # Many blocks: the pair move's windows are wide here.
+        ((1, 1, 1, 1, 1, 2, 1, 1), 459, 0),
+        ((1, 1, 2, 1, 2, 1, 1), 590, 0),
+        ((1, 1, 1, 1, 1, 1, 1, 1, 1), 373, 0),
+        ((1, 1, 1, 3, 1, 1, 1), 760, 0),
+        ((1, 2, 1, 2, 1, 2), 382, 0),
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_nodes_and_count(self, lengths, nodes, count):
         report = time_branching_search(FlagType(lengths))
@@ -161,6 +169,32 @@ class TestSearchTree:
             assert report.nodes == cap + 1
         report = time_branching_search(ft, SearchLimits(max_nodes=3406))
         assert report.completed and report.nodes == 3406
+
+
+class TestCrt:
+    """The congruence solver behind the pair move's stepping."""
+
+    def test_matches_brute_force(self):
+        for m1, m2 in itertools.product(range(1, 13), repeat=2):
+            lcm = m1 * m2 // math.gcd(m1, m2)
+            for r1, r2 in itertools.product(range(-3, m1 + 2), range(m2)):
+                want = [x for x in range(lcm)
+                        if (x - r1) % m1 == 0 and (x - r2) % m2 == 0]
+                got = search._crt(r1, m1, r2, m2)
+                if want:
+                    assert got == (want[0], lcm)
+                    assert len(want) == 1
+                else:
+                    assert got is None
+
+    def test_no_solution(self):
+        assert search._crt(0, 4, 1, 6) is None
+        assert search._crt(1, 2, 0, 2) is None
+
+    def test_trivial_moduli(self):
+        assert search._crt(0, 1, 0, 1) == (0, 1)
+        assert search._crt(5, 1, 3, 4) == (3, 4)
+        assert search._crt(-7, 3, 9, 1) == (2, 3)
 
 
 _RECORD_TWICE = """
@@ -308,6 +342,45 @@ class TestSweeps:
         assert len(result) == 6
         with open(path) as fh:
             assert sum(1 for line in fh if line.strip()) == 6
+
+    def test_stopped_report_is_searched_again(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        stopped = verify_conjecture_sweep(
+            10, SearchLimits(max_nodes=500), checkpoint_path=path)
+        assert not stopped[(3, 4, 3)].completed
+        resumed = verify_conjecture_sweep(10, checkpoint_path=path)
+        fresh = verify_conjecture_sweep(10)
+        assert all(report.completed for report in resumed.values())
+        assert ({k: r.nodes for k, r in resumed.items()}
+                == {k: r.nodes for k, r in fresh.items()})
+        # A third run finds every type finished and appends nothing.
+        with open(path) as fh:
+            lines = fh.readlines()
+        verify_conjecture_sweep(10, checkpoint_path=path)
+        with open(path) as fh:
+            assert fh.readlines() == lines
+
+    def test_torn_last_line_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        verify_no_multistep(4, checkpoint_path=str(path))
+        with open(path, "a") as fh:
+            fh.write('{"schema": 1, "type": [2, 1, 1')
+        result = verify_no_multistep(5, checkpoint_path=str(path))
+        assert "torn" in capsys.readouterr().err
+        assert len(result) == 6
+        assert all(r.completed and r.count == 0 for r in result.values())
+        text = path.read_text()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
+        assert sorted(tuple(d["type"]) for d in records) == sorted(result)
+
+    def test_results_only_for_requested_types(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        verify_conjecture_sweep(9, checkpoint_path=path)
+        result = verify_no_multistep(4, checkpoint_path=path)
+        assert set(result) == {(1, 1, 1, 1)}
+        assert set(verify_conjecture_sweep(9, checkpoint_path=path)) \
+            == {(3, 3, 3)}
 
 
 class TestSymmetricPairing:
