@@ -42,30 +42,25 @@ class EvolutionTable:
         return sum(len(g) * (len(g) - 1) // 2 for g in self.coincidences(t))
 
 
-def evolution_table(P: BlockedPartition, velocities=None) -> EvolutionTable:
+def evolution_table(P: BlockedPartition) -> EvolutionTable:
     """Tabulate positions for t = 0..N+1.
 
-    ``velocities`` overrides the per-entry display velocities; the default is
-    block velocity -(r - b) plus the centering drift r // 2.
+    An entry of block b moves with velocity -(r - b) plus the centering
+    drift r // 2.
     """
     r = P.type.r
-    if velocities is None:
-        drift = r // 2
-        velocities = []
-        for b, l in enumerate(P.type.lengths):
-            velocities.extend([-(r - b) + drift] * l)
-    velocities = tuple(velocities)
-    if len(velocities) != len(P.entries):
-        raise ValueError(f"need {len(P.entries)} velocities")
+    drift = r // 2
+    velocities = tuple(-(r - b) + drift
+                       for b, l in enumerate(P.type.lengths) for _ in range(l))
     N = P.dimension
     rows = tuple(tuple(e + t * v for e, v in zip(P.entries, velocities))
                  for t in range(N + 2))
     return EvolutionTable(P, velocities, rows)
 
 
-def render_ascii(P: BlockedPartition, velocities=None) -> str:
+def render_ascii(P: BlockedPartition) -> str:
     """One row per time; 'o' is an entry, '#' a coincidence of two or more."""
-    table = evolution_table(P, velocities)
+    table = evolution_table(P)
     lo = min(min(row) for row in table.rows)
     hi = max(max(row) for row in table.rows)
     width = hi - lo + 1
@@ -82,9 +77,9 @@ def render_ascii(P: BlockedPartition, velocities=None) -> str:
     return "\n".join(lines)
 
 
-def render_svg(P: BlockedPartition, velocities=None, pitch: int = 12) -> str:
+def render_svg(P: BlockedPartition, pitch: int = 12) -> str:
     """World lines as SVG; collision times carry a dot per coincident group."""
-    table = evolution_table(P, velocities)
+    table = evolution_table(P)
     lo = min(min(row) for row in table.rows)
     hi = max(max(row) for row in table.rows)
     tmax = len(table.rows) - 1

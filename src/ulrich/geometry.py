@@ -75,12 +75,6 @@ def to_weight(P: BlockedPartition, normalize: bool = False) -> SchurWeight:
     return SchurWeight(P.type, tuple(lam))
 
 
-def to_partition(w: SchurWeight) -> BlockedPartition:
-    """Inverse of ``to_weight``: w + rho, which must strictly decrease."""
-    entries = tuple(x + s for x, s in zip(w.entries, rho(w.type.n)))
-    return BlockedPartition(w.type, entries)
-
-
 def _normalize_weight(mu, n: int):
     """Shift a weakly decreasing integer weight to a partition shape.
 

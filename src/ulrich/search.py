@@ -50,10 +50,18 @@ Two independent engines:
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
+
+``SearchLimits`` mean the same for any number of workers.  ``max_nodes``
+caps the nodes of the whole tree: a report is ``completed`` exactly when
+the serial search finishes within the cap.  ``budget_seconds`` bounds the
+whole search: the clock is read every 1024 nodes and before each subtree,
+and a split search stops at the first subtree a limit stopped.  A sweep
+gives these limits to each type.  ``_pool_map`` is the one process pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -195,17 +203,16 @@ class _Searcher:
 
     ``det`` holds the placed entries per block; ``covered`` is a bitmask with
     bit t-1 set when time t is realized by a placed pair; ``placed`` counts
-    the placed entries.  Snapshots of these three taken at a fixed depth let
-    the search resume in worker processes.
+    the placed entries.  A snapshot ``state`` of these three, taken at a
+    fixed depth, lets the search resume in a worker process.
     """
 
     def __init__(self, ft: FlagType, deadline: float | None,
-                 max_nodes: int | None):
+                 max_nodes: int | None, state=None):
         self.lengths = ft.lengths
         self.N = ft.dimension
-        self.det = [[] for _ in ft.lengths]
-        self.covered = 0
-        self.placed = 0
+        det, self.covered, self.placed = state or ([()] * len(ft.lengths), 0, 0)
+        self.det = [list(block) for block in det]
         self.nodes = 0
         self.deadline = deadline
         self.max_nodes = max_nodes
@@ -239,12 +246,6 @@ class _Searcher:
         low = blocks[-1][-1]
         self.found.append(tuple(tuple(v - low for v in block)
                                 for block in blocks))
-
-    def restore(self, state):
-        det, covered, placed = state
-        self.det = [list(block) for block in det]
-        self.covered = covered
-        self.placed = placed
 
     # -- the search ---------------------------------------------------------
 
@@ -468,26 +469,36 @@ class _Searcher:
 
     # -- entry points -------------------------------------------------------
 
-    def run(self) -> bool:
-        try:
-            self._walk()
-            return True
-        except BudgetExhausted:
-            return False
-
-    def run_frontier(self, depth: int):
-        """Collect resumable states at the given placement depth."""
+    def run(self, depth: int | None = None):
+        """Search; return (resumable states at ``depth``, completed)."""
         try:
             return self._walk(depth), True
         except BudgetExhausted:
             return [], False
 
 
+def _pool_map(fn, jobs, workers: int):
+    """Yield fn(job) for every job of a list, in completion order.
+
+    With one worker, or fewer than two jobs, the jobs run here in order.
+    Otherwise one fork pool (Linux) of min(workers, len(jobs)) processes
+    runs them, and closing the generator terminates the pool.
+    """
+    if workers <= 1 or len(jobs) < 2:
+        yield from map(fn, jobs)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(min(workers, len(jobs))) as pool:
+        yield from pool.imap_unordered(fn, jobs)
+
+
 def _subtree_worker(args):
     lengths, state, deadline, max_nodes = args
-    s = _Searcher(FlagType(lengths), deadline, max_nodes)
-    s.restore(state)
-    completed = s.run()
+    # A subtree smaller than 1024 nodes never reads the clock in the walk.
+    if deadline is not None and time.monotonic() > deadline:
+        return [], 1, False
+    s = _Searcher(FlagType(lengths), deadline, max_nodes, state)
+    _, completed = s.run()
     return s.found, s.nodes, completed
 
 
@@ -495,9 +506,11 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
                           workers: int = 1) -> SearchReport:
     """Classify a type with the time-branching engine.
 
-    With workers > 1 the tree is split at a shallow depth and subtrees are
-    searched in parallel (fork-based, Linux).  Results are identical to the
-    single-process run.
+    With workers > 1 the tree is split at a shallow depth and the subtrees
+    are searched by ``_pool_map``.  With any number of workers the report
+    is ``completed`` exactly when the tree has at most ``max_nodes`` nodes
+    and was searched within ``budget_seconds``; it then has the serial node
+    count and classes.
     """
     ft = FlagType(ft.lengths)
     if not ft.all_positive:
@@ -506,25 +519,23 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     start = time.monotonic()
     deadline = (start + limits.budget_seconds
                 if limits.budget_seconds is not None else None)
-    searcher = _Searcher(ft, deadline, limits.max_nodes)
-    if workers <= 1 or sum(ft.lengths) <= 3:
-        completed = searcher.run()
-        found, nodes = searcher.found, searcher.nodes
-    else:
-        depth = min(4, sum(ft.lengths) - 1)
-        states, completed = searcher.run_frontier(depth)
-        found, nodes = list(searcher.found), searcher.nodes
-        if completed and states:
-            budget = limits.max_nodes
-            jobs = [(ft.lengths, st, deadline, budget) for st in states]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                for sub_found, sub_nodes, sub_done in pool.imap_unordered(
-                        _subtree_worker, jobs, chunksize=8):
-                    found.extend(sub_found)
-                    # The subtree's root was counted by the frontier pass.
-                    nodes += sub_nodes - 1
-                    completed = completed and sub_done
+    cap = limits.max_nodes
+    searcher = _Searcher(ft, deadline, cap)
+    total = sum(ft.lengths)
+    states, completed = searcher.run(
+        min(4, total - 1) if workers > 1 and total > 3 else None)
+    found, nodes = searcher.found, searcher.nodes
+    # A subtree may take the nodes left under the cap plus its own root.
+    sub_cap = None if cap is None else cap - nodes + 1
+    jobs = [(ft.lengths, st, deadline, sub_cap) for st in states]
+    with contextlib.closing(
+            _pool_map(_subtree_worker, jobs, workers)) as results:
+        for sub_found, sub_nodes, sub_done in results:
+            found.extend(sub_found)
+            nodes += sub_nodes - 1
+            if not sub_done or (cap is not None and nodes > cap):
+                completed = False
+                break
     classes = tuple(sorted(
         (core.from_blocks(blocks) for blocks in set(found)),
         key=lambda P: P.entries))
@@ -539,11 +550,13 @@ def enumerate_ulrich(ft: FlagType, limits: SearchLimits | None = None,
     """Classify a type, dispatching on the requested method.
 
     ``auto`` and ``time-branching`` run the fast engine; ``baseline`` runs
-    the enumeration oracle (N <= 14 only).
+    the enumeration oracle (N <= 14 only, no limits, one process).
     """
     if method in ("auto", "time-branching"):
         return time_branching_search(ft, limits, workers)
     if method == "baseline":
+        if workers != 1 or (limits or SearchLimits()) != SearchLimits():
+            raise ValueError("the baseline method takes no limits, 1 worker")
         start = time.monotonic()
         classes = baseline_oracle(ft)
         return SearchReport(FlagType(ft.lengths), classes, 0,
@@ -594,7 +607,7 @@ def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
 
 def _run_type_sweep(types, limits: SearchLimits, workers: int,
                     checkpoint_path: str | None = None):
-    """Search many types, optionally in parallel, with JSONL checkpointing.
+    """Search many types on ``workers`` processes, with JSONL checkpointing.
 
     Returns {lengths: SearchReport} for exactly the given types.  A type
     whose checkpointed report was stopped by a limit is searched again.
@@ -602,27 +615,16 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
     done: dict[tuple[int, ...], SearchReport] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         done = _load_checkpoint(checkpoint_path)
-    todo = [ft for ft in types
+    jobs = [(ft.lengths, limits.budget_seconds, limits.max_nodes)
+            for ft in types
             if ft.lengths not in done or not done[ft.lengths].completed]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
-
-    def note(report: SearchReport):
-        done[report.type.lengths] = report
-        if sink:
-            sink.write(json.dumps(report_to_dict(report)) + "\n")
-            sink.flush()
-
     try:
-        if workers <= 1:
-            for ft in todo:
-                note(time_branching_search(ft, limits, workers=1))
-        else:
-            jobs = [(ft.lengths, limits.budget_seconds, limits.max_nodes)
-                    for ft in todo]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                for data in pool.imap_unordered(_search_type_worker, jobs):
-                    note(report_from_dict(data))
+        for data in _pool_map(_search_type_worker, jobs, workers):
+            done[tuple(data["type"])] = report_from_dict(data)
+            if sink:
+                sink.write(json.dumps(data) + "\n")
+                sink.flush()
     finally:
         if sink:
             sink.close()

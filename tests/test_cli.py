@@ -134,6 +134,19 @@ class TestEnumerate:
         assert run(["enumerate", "--method", "baseline", "1,2,1"]) == 0
         assert "count 4 (complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [
+        ["--threads", "2"],
+        ["--budget-seconds", "0"],
+        ["--threads", "2", "--budget-seconds", "0"],
+    ], ids=" ".join)
+    def test_baseline_rejects_resource_options(self, extra, capsys):
+        # The oracle runs in one process with no clock: it must not accept
+        # these and then ignore them.
+        assert run(["enumerate", "1,3,1", "--method", "baseline"] + extra) == 2
+        captured = capsys.readouterr()
+        assert "baseline method takes no limits" in captured.err
+        assert "complete" not in captured.out
+
     def test_budget_exhausted(self, capsys):
         assert run(["enumerate", "2,8,2", "--budget-seconds", "0.0001"]) == 3
         assert "INCOMPLETE" in capsys.readouterr().out

@@ -5,8 +5,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-import pytest
-
 from ulrich import core, diagram, families
 from ulrich.core import parse_partition
 from ulrich.diagram import evolution_table, render_ascii, render_svg
@@ -28,15 +26,6 @@ class TestEvolutionTable:
         table = evolution_table(P)
         assert table.rows[0] == (4, 3, 0, -2)
         assert table.rows[2] == (2, 3, 0, 0)  # velocities -1, 0, 0, +1
-
-    def test_custom_velocities(self):
-        P = parse_partition("1|0")
-        table = evolution_table(P, velocities=(0, 1))
-        assert table.rows[1] == (1, 1)
-
-    def test_velocity_arity(self):
-        with pytest.raises(ValueError, match="velocities"):
-            evolution_table(parse_partition("1|0"), velocities=(1,))
 
     def test_coincidences(self):
         P = parse_partition("4|3,0|-2")
@@ -61,7 +50,7 @@ class TestEvolutionTable:
     def test_triple_coincidence_counts_three_pairs(self):
         # three entries at one spot = three coincident pairs
         P = parse_partition("2|1|0")
-        table = evolution_table(P, velocities=(-1, 0, 1))
+        table = evolution_table(P)
         assert table.rows[1] == (1, 1, 1)
         assert table.coincidences(1) == ((0, 1, 2),)
         assert table.coincident_pair_count(1) == 3

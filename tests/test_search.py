@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -152,11 +153,14 @@ class TestSearchTree:
         assert report.completed
         assert (report.nodes, report.count) == (nodes, count)
 
-    @pytest.mark.parametrize("lengths", [(2, 8, 2), (1, 10, 1)],
-                             ids=lambda v: "-".join(map(str, v)))
-    def test_two_workers_match_serial(self, lengths):
+    @pytest.mark.parametrize("lengths, workers", [
+        pytest.param((2, 8, 2), 2, id="2-8-2"),
+        pytest.param((1, 10, 1), 2, id="1-10-1"),
+        pytest.param((2, 4, 2), 4, id="2-4-2-4workers"),
+    ])
+    def test_two_workers_match_serial(self, lengths, workers):
         serial = time_branching_search(FlagType(lengths))
-        parallel = time_branching_search(FlagType(lengths), workers=2)
+        parallel = time_branching_search(FlagType(lengths), workers=workers)
         assert parallel.completed
         assert parallel.classes == serial.classes
         assert parallel.nodes == serial.nodes
@@ -244,12 +248,6 @@ class TestDuplicateClassCheck:
 
 
 class TestWorkers:
-    def test_parallel_matches_serial(self):
-        serial = time_branching_search(FlagType((2, 4, 2)))
-        parallel = time_branching_search(FlagType((2, 4, 2)), workers=4)
-        assert parallel.completed
-        assert parallel.classes == serial.classes
-
     def test_parallel_on_empty_type(self):
         report = time_branching_search(FlagType((1, 1, 1, 2)), workers=3)
         assert report.completed and report.classes == ()
@@ -266,6 +264,26 @@ class TestLimits:
         limits = SearchLimits(budget_seconds=1e-4)
         report = time_branching_search(FlagType((2, 8, 2)), limits)
         assert not report.completed
+
+    # The limits mean the same with one worker and with several: (2,8,2)
+    # has 10,884 nodes, and (1,10,1) has 4,004 in subtrees of fewer than
+    # 1024 nodes each, none of which reaches a clock read of its own.
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cap", [5000, 10883, 10884])
+    def test_node_cap_counts_whole_tree(self, cap, workers):
+        report = time_branching_search(
+            FlagType((2, 8, 2)), SearchLimits(max_nodes=cap), workers)
+        assert report.completed == (cap >= 10884)
+        if report.completed:
+            assert (report.nodes, report.count) == (10884, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_budget_stops_at_first_clock_read(self, workers):
+        report = time_branching_search(
+            FlagType((1, 10, 1)), SearchLimits(budget_seconds=0), workers)
+        assert not report.completed
+        assert report.nodes <= 1024
 
     def test_generous_limits_complete(self):
         limits = SearchLimits(budget_seconds=60, max_nodes=10 ** 7)
@@ -297,6 +315,15 @@ class TestEnumerateDispatch:
         report = enumerate_ulrich(FlagType((1, 2, 1)), method="baseline")
         assert report.completed
         assert report.classes == baseline_oracle(FlagType((1, 2, 1)))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"workers": 2},
+        {"limits": SearchLimits(budget_seconds=0)},
+        {"limits": SearchLimits(max_nodes=10)},
+    ], ids=["workers", "budget", "nodes"])
+    def test_baseline_rejects_resources(self, kwargs):
+        with pytest.raises(ValueError, match="baseline method takes no"):
+            enumerate_ulrich(FlagType((1, 2, 1)), method="baseline", **kwargs)
 
     def test_spec_object(self):
         # The full request (limits, workers, method) given as keywords.
@@ -373,6 +400,20 @@ class TestSweeps:
         assert text.endswith("\n")
         records = [json.loads(line) for line in text.splitlines()]
         assert sorted(tuple(d["type"]) for d in records) == sorted(result)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_resume_starts_no_pool(self, tmp_path, monkeypatch,
+                                            workers):
+        path = str(tmp_path / "sweep.jsonl")
+        first = verify_no_multistep(5, workers=workers, checkpoint_path=path)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a resume with nothing to search made a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        again = verify_no_multistep(5, workers=workers, checkpoint_path=path)
+        assert ({k: report_to_dict(r) for k, r in again.items()}
+                == {k: report_to_dict(r) for k, r in first.items()})
 
     def test_results_only_for_requested_types(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
