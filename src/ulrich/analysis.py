@@ -120,11 +120,14 @@ def _smallest_uncovered(T: PreUlrichTriple) -> int:
 
 def _extend(T: PreUlrichTriple, letter: str) -> Extension:
     t0 = _smallest_uncovered(T)
+    # At time t0 an entry x of block m (A, B, C for m = 0, 1, 2) sits at
+    # x + v[m].
+    v = [t0 * core.velocity(m, 2) for m in range(3)]
     if letter == "a":
         if not (T.b or T.c):
             raise ValueError("cannot add to A: B and C are both empty")
         # Largest position among B and C at time t0, pulled back to an entry.
-        value = max([b + t0 for b in T.b] + [c + 2 * t0 for c in T.c])
+        value = max([b + v[1] for b in T.b] + [c + v[2] for c in T.c]) - v[0]
         candidate = PreUlrichTriple(
             tuple(sorted(T.a + (value,), reverse=True)), T.b, T.c)
         new_times = ([Fraction(value - b) for b in T.b]
@@ -132,7 +135,7 @@ def _extend(T: PreUlrichTriple, letter: str) -> Extension:
     elif letter == "c":
         if not (T.a or T.b):
             raise ValueError("cannot add to C: A and B are both empty")
-        value = min([a - 2 * t0 for a in T.a] + [b - t0 for b in T.b])
+        value = min([a + v[0] for a in T.a] + [b + v[1] for b in T.b]) - v[2]
         candidate = PreUlrichTriple(
             T.a, T.b, tuple(sorted(T.c + (value,), reverse=True)))
         new_times = ([Fraction(a - value, 2) for a in T.a]

@@ -225,9 +225,17 @@ def _cmd_verify(args) -> int:
     reports = sorted(done.values(), key=lambda rep: rep.type.lengths)
     incomplete = [rep for rep in reports if not rep.completed]
     nonempty = [rep for rep in reports if rep.count]
-    lines = [f"type {','.join(map(str, rep.type.lengths))}: {rep.count} classes "
-             f"({rep.nodes} nodes{'' if rep.completed else ', INCOMPLETE'})"
-             for rep in reports]
+    lines = []
+    for rep in reports:
+        notes = [f"{rep.nodes} nodes"]
+        if rep.mirror_of is not None:
+            notes.append(f"mirror of {','.join(map(str, rep.mirror_of))}")
+        if not rep.completed:
+            notes.append("INCOMPLETE")
+        lines.append(f"type {','.join(map(str, rep.type.lengths))}: "
+                     f"{rep.count} classes ({', '.join(notes)})")
+    derived = sum(rep.mirror_of is not None for rep in reports)
+    lines.append(f"{derived} of {len(reports)} types derived from their mirror")
     if nonempty:
         lines.append(f"COUNTEREXAMPLE to: {claim}")
         code = EXIT_NEGATIVE

@@ -190,11 +190,16 @@ class UlrichVerdict:
         return self.is_ulrich
 
 
+def velocity(b: int, r: int) -> int:
+    """Velocity -(r - b) of block b (0-based) of an r-step type."""
+    return b - r
+
+
 def evolve(P: BlockedPartition, t: int) -> tuple[tuple[int, ...], ...]:
     """Entry positions at time t, block by block (repeats allowed)."""
     r = P.type.r
     return tuple(
-        tuple(e - t * (r - b) for e in block)
+        tuple(e + t * velocity(b, r) for e in block)
         for b, block in enumerate(P.blocks))
 
 

@@ -45,12 +45,12 @@ class EvolutionTable:
 def evolution_table(P: BlockedPartition) -> EvolutionTable:
     """Tabulate positions for t = 0..N+1.
 
-    An entry of block b moves with velocity -(r - b) plus the centering
-    drift r // 2.
+    An entry of block b moves with velocity ``core.velocity(b, r)`` plus
+    the centering drift r // 2.
     """
     r = P.type.r
     drift = r // 2
-    velocities = tuple(-(r - b) + drift
+    velocities = tuple(core.velocity(b, r) + drift
                        for b, l in enumerate(P.type.lengths) for _ in range(l))
     N = P.dimension
     rows = tuple(tuple(e + t * v for e, v in zip(P.entries, velocities))

@@ -57,6 +57,18 @@ the serial search finishes within the cap.  ``budget_seconds`` bounds the
 whole search: the clock is read every 1024 nodes and before each subtree,
 and a split search stops at the first subtree a limit stopped.  A sweep
 gives these limits to each type.  ``_pool_map`` is the one process pool.
+
+Sweeps.  ``verify_no_multistep`` and ``verify_conjecture_sweep`` classify
+many types through ``_run_type_sweep``, which checkpoints each report as a
+JSONL line.  ``core.symmetric`` (negate, then reverse) maps the classes of
+a type one to one onto those of the reversed type, and the two search
+trees are isomorphic: meeting times are unchanged when positions are
+negated and velocities reversed, and the gauge pairs, the (B) targets and
+the (D) windows map onto each other.  So a sweep searches one orientation
+of each mirror pair it is asked for and derives the other
+(``_mirror_report``): the mirrored classes, the source's node count and
+``completed`` flag, no elapsed time, and ``mirror_of`` naming the source.
+Palindromic types, and types whose reverse is not requested, are searched.
 """
 
 from __future__ import annotations
@@ -88,7 +100,14 @@ class SearchReport:
     """Outcome of one type search.
 
     ``completed`` is False when a resource limit stopped the search early, in
-    which case ``classes`` is a lower bound, not a classification.
+    which case ``classes`` is a lower bound, not a classification.  A limit
+    that stops a search with ``workers > 1`` leaves ``nodes`` a lower bound
+    too, which varies from run to run: the subtrees still running in other
+    workers are terminated and their nodes are not counted.
+
+    ``mirror_of`` is set on a report that a sweep derived from the search of
+    the reversed type (``_mirror_report``): it names that source type, and
+    the report inherits the source's ``nodes`` and ``completed`` flag.
     """
 
     type: FlagType
@@ -96,6 +115,7 @@ class SearchReport:
     nodes: int
     elapsed: float
     completed: bool
+    mirror_of: tuple[int, ...] | None = None
 
     @property
     def count(self) -> int:
@@ -111,7 +131,7 @@ _NEVER = 1 << 62
 
 
 def report_to_dict(report: SearchReport) -> dict:
-    return {
+    data = {
         "schema": 1,
         "type": list(report.type.lengths),
         "classes": [core.format_partition(P) for P in report.classes],
@@ -120,13 +140,18 @@ def report_to_dict(report: SearchReport) -> dict:
         "elapsed": round(report.elapsed, 3),
         "completed": report.completed,
     }
+    if report.mirror_of is not None:
+        data["mirror_of"] = list(report.mirror_of)
+    return data
 
 
 def report_from_dict(data: dict) -> SearchReport:
     ft = FlagType(tuple(data["type"]))
     classes = tuple(core.parse_partition(s) for s in data["classes"])
+    mirror_of = data.get("mirror_of")
     return SearchReport(ft, classes, data["nodes"], data["elapsed"],
-                        data["completed"])
+                        data["completed"],
+                        None if mirror_of is None else tuple(mirror_of))
 
 
 # --------------------------------------------------------------------------
@@ -265,9 +290,9 @@ class _Searcher:
         det = self.det
         record = self._record
         frontier = []
-        # Entries of block m descend with velocity vm[m]; an entry v sits at
+        # Entries of block m descend at speed vm[m]; an entry v sits at
         # position v - t*vm[m] at time t.
-        vm = [R - 1 - m for m in range(R)]
+        vm = [-core.velocity(m, R - 1) for m in range(R)]
         pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
         # others[b]: (entries, m - b) for every block m other than b.
         others = [[(det[m], m - b) for m in range(R) if m != b]
@@ -605,26 +630,59 @@ def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
     return reports
 
 
+def _mirror_report(source: SearchReport) -> SearchReport:
+    """The report of the reversed type, derived from ``source`` unsearched.
+
+    ``core.symmetric`` maps the classes of a type one to one onto those of
+    the reversed type, and the two search trees are isomorphic, so the
+    node count and the ``completed`` flag carry over.
+    """
+    classes = sorted((core.canonicalize(core.symmetric(P))
+                      for P in source.classes), key=lambda P: P.entries)
+    return SearchReport(source.type.reversed(), tuple(classes), source.nodes,
+                        0.0, source.completed, source.type.lengths)
+
+
 def _run_type_sweep(types, limits: SearchLimits, workers: int,
                     checkpoint_path: str | None = None):
     """Search many types on ``workers`` processes, with JSONL checkpointing.
 
     Returns {lengths: SearchReport} for exactly the given types.  A type
-    whose checkpointed report was stopped by a limit is searched again.
+    whose checkpointed report was stopped by a limit is searched again.  A
+    type whose reversed type is also requested is derived from it by
+    ``_mirror_report``, after the searches, when the reverse already has a
+    completed report or when both are pending and this type is the
+    lexicographically smaller one.
     """
     done: dict[tuple[int, ...], SearchReport] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         done = _load_checkpoint(checkpoint_path)
-    jobs = [(ft.lengths, limits.budget_seconds, limits.max_nodes)
-            for ft in types
-            if ft.lengths not in done or not done[ft.lengths].completed]
+    requested = {ft.lengths for ft in types}
+    pending = [ft.lengths for ft in types
+               if ft.lengths not in done or not done[ft.lengths].completed]
+    waiting = set(pending)
+    # derived[lengths]: the reversed type whose report gives this one.
+    derived = {}
+    for lengths in pending:
+        mirror = lengths[::-1]
+        if mirror != lengths and mirror in requested and (
+                mirror not in waiting or lengths < mirror):
+            derived[lengths] = mirror
+    jobs = [(lengths, limits.budget_seconds, limits.max_nodes)
+            for lengths in pending if lengths not in derived]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
+
+    def keep(data):
+        done[tuple(data["type"])] = report_from_dict(data)
+        if sink:
+            sink.write(json.dumps(data) + "\n")
+            sink.flush()
+
     try:
         for data in _pool_map(_search_type_worker, jobs, workers):
-            done[tuple(data["type"])] = report_from_dict(data)
-            if sink:
-                sink.write(json.dumps(data) + "\n")
-                sink.flush()
+            keep(data)
+        for lengths, mirror in derived.items():
+            keep(report_to_dict(_mirror_report(done[mirror])))
     finally:
         if sink:
             sink.close()
@@ -665,28 +723,3 @@ def verify_conjecture_sweep(max_sum: int,
              for t in itertools.product(range(3, total + 1), repeat=3)
              if sum(t) == total]
     return _run_type_sweep(types, limits, workers, checkpoint_path)
-
-
-def symmetric_pairing(classes):
-    """Group classes of one type sweep by the mirror operation.
-
-    Returns (pairs, fixed) where pairs holds {P, symmetric(P)} sets with the
-    two members distinct, and fixed holds self-symmetric classes.  For a type
-    that is not its own reverse the mirror lives in the reversed type and
-    everything lands in pairs with a None partner.
-    """
-    canon = {P: core.canonicalize(core.symmetric(P)) for P in classes}
-    seen, pairs, fixed = set(), [], []
-    for P, Q in canon.items():
-        if P in seen:
-            continue
-        if Q == P:
-            fixed.append(P)
-            seen.add(P)
-        elif Q in canon:
-            pairs.append((P, Q))
-            seen.update((P, Q))
-        else:
-            pairs.append((P, None))
-            seen.add(P)
-    return pairs, fixed

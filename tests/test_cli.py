@@ -259,6 +259,19 @@ class TestVerify:
         assert payload["completed"] is True
         assert len(payload["types"]) == 1
 
+    def test_derived_types(self, capsys):
+        assert run(["verify", "conjecture", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "type 3,3,4: 0 classes (456 nodes, mirror of 4,3,3)" in lines
+        assert "type 4,3,3: 0 classes (456 nodes)" in lines
+        assert lines[-2] == "1 of 4 types derived from their mirror"
+        assert lines[-1].startswith("HOLDS")
+        assert run(["verify", "--json", "conjecture", "10"]) == 0
+        types = json.loads(capsys.readouterr().out)["types"]
+        assert {tuple(t["type"]): t.get("mirror_of") for t in types} == {
+            (3, 3, 3): None, (3, 3, 4): [4, 3, 3], (3, 4, 3): None,
+            (4, 3, 3): None}
+
     def test_inconclusive(self, capsys, monkeypatch):
         def fake_sweep(bound, limits, workers, checkpoint):
             ft = FlagType((3, 3, 3))

@@ -23,8 +23,8 @@ from ulrich import core, families, search
 from ulrich.core import FlagType
 from ulrich.search import (SearchLimits, baseline_oracle,
                            enumerate_ulrich, report_from_dict, report_to_dict,
-                           symmetric_pairing, time_branching_search,
-                           verify_conjecture_sweep, verify_no_multistep)
+                           time_branching_search, verify_conjecture_sweep,
+                           verify_no_multistep)
 
 from helpers import all_types, brute_is_ulrich
 
@@ -304,6 +304,28 @@ class TestReportSerialization:
         assert back.nodes == report.nodes
         assert back.completed == report.completed
         assert report_to_dict(back) == data
+        assert "mirror_of" not in data
+
+    def test_mirror_of_roundtrip(self):
+        source = time_branching_search(FlagType((2, 2, 1)))
+        derived = search._mirror_report(source)
+        data = report_to_dict(derived)
+        assert data["mirror_of"] == [2, 2, 1]
+        assert data["elapsed"] == 0.0
+        back = report_from_dict(data)
+        assert back == derived
+        assert report_to_dict(back) == data
+
+    def test_line_without_mirror_of_loads(self):
+        # A checkpoint line as written before derived reports existed.
+        line = ('{"schema": 1, "type": [2, 2, 2], "classes": '
+                '["20,12|11,8|6,0", "20,14|12,9|8,0"], "count": 2, '
+                '"nodes": 52, "elapsed": 0.001, "completed": true}')
+        report = report_from_dict(json.loads(line))
+        assert report.mirror_of is None
+        assert report.classes == classes_of((2, 2, 2))
+        assert (report.nodes, report.completed) == (52, True)
+        assert report_to_dict(report) == json.loads(line)
 
 
 class TestEnumerateDispatch:
@@ -424,22 +446,90 @@ class TestSweeps:
             == {(3, 3, 3)}
 
 
-class TestSymmetricPairing:
-    def test_mirror_pair(self):
-        pairs, fixed = symmetric_pairing(classes_of((2, 2, 2)))
-        assert len(pairs) == 1 and fixed == []
-        P, Q = pairs[0]
-        assert canon(core.symmetric(P)) == Q
+def _count_searches(monkeypatch):
+    """Record the type of every call of the sweep's per-type worker."""
+    searched = []
+    worker = search._search_type_worker
 
-    def test_sign_flip_pairs(self):
-        pairs, fixed = symmetric_pairing(classes_of((1, 2, 1)))
-        assert len(pairs) == 2 and fixed == []
+    def counting(args):
+        searched.append(tuple(args[0]))
+        return worker(args)
 
-    def test_fixed_class(self):
-        pairs, fixed = symmetric_pairing(classes_of((1, 1)))
-        assert pairs == [] and len(fixed) == 1
+    monkeypatch.setattr(search, "_search_type_worker", counting)
+    return searched
 
-    def test_asymmetric_type_pairs_with_none(self):
-        pairs, fixed = symmetric_pairing(classes_of((1, 2, 5)))
-        assert fixed == []
-        assert all(Q is None for _, Q in pairs)
+
+class TestMirrorDerivation:
+    """A sweep searches one orientation of each mirror pair it is asked for."""
+
+    def test_derived_equals_direct(self):
+        # Every type with at most 6 blocks and total <= 10, palindromes too.
+        direct = {ft.lengths: time_branching_search(ft)
+                  for blocks in range(2, 7)
+                  for total in range(blocks, 11)
+                  for ft in search._types_with_blocks(blocks, total)}
+        assert len(direct) == 837
+        for lengths, report in direct.items():
+            derived = search._mirror_report(report)
+            want = direct[lengths[::-1]]
+            assert derived.type == want.type
+            assert derived.mirror_of == lengths
+            assert ((derived.classes, derived.nodes, derived.completed)
+                    == (want.classes, want.nodes, want.completed)), lengths
+
+    def test_sweep_searches_one_of_each_pair(self, monkeypatch):
+        searched = _count_searches(monkeypatch)
+        result = verify_no_multistep(5)
+        assert len(result) == 6 and len(searched) == 4
+        assert {k for k, r in result.items() if r.mirror_of} \
+            == {(1, 1, 1, 2), (1, 1, 2, 1)}
+        assert result[(1, 1, 1, 2)].mirror_of == (2, 1, 1, 1)
+        assert all(r.completed and r.count == 0 for r in result.values())
+
+    def test_resume_from_source_derives(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.jsonl"
+        fresh = verify_conjecture_sweep(10, checkpoint_path=str(path))
+        lines = [line for line in path.read_text().splitlines()
+                 if json.loads(line)["type"] != [3, 3, 4]]
+        path.write_text("".join(line + "\n" for line in lines))
+        searched = _count_searches(monkeypatch)
+        resumed = verify_conjecture_sweep(10, checkpoint_path=str(path))
+        assert searched == []
+        assert resumed[(3, 3, 4)].mirror_of == (4, 3, 3)
+        assert ({k: report_to_dict(r) for k, r in resumed.items()}
+                == {k: report_to_dict(r) for k, r in fresh.items()})
+
+    def test_stopped_source_redoes_both(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "sweep.jsonl")
+        stopped = verify_conjecture_sweep(
+            10, SearchLimits(max_nodes=400), checkpoint_path=path)
+        assert not stopped[(4, 3, 3)].completed
+        assert not stopped[(3, 3, 4)].completed
+        assert stopped[(3, 3, 4)].mirror_of == (4, 3, 3)
+        searched = _count_searches(monkeypatch)
+        resumed = verify_conjecture_sweep(10, checkpoint_path=path)
+        assert sorted(searched) == [(3, 4, 3), (4, 3, 3)]
+        assert all(r.completed for r in resumed.values())
+        assert (resumed[(3, 3, 4)].nodes, resumed[(3, 3, 4)].mirror_of) \
+            == (456, (4, 3, 3))
+
+    def test_unrequested_mirror_is_searched(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "sweep.jsonl")
+        search._run_type_sweep([FlagType((4, 3, 3))], SearchLimits(), 1, path)
+        searched = _count_searches(monkeypatch)
+        result = search._run_type_sweep([FlagType((3, 3, 4))],
+                                        SearchLimits(), 1, path)
+        assert searched == [(3, 3, 4)]
+        assert result[(3, 3, 4)].mirror_of is None
+        assert result[(3, 3, 4)].nodes == 456
+
+    @pytest.mark.parametrize("cap", [455, 456])
+    def test_same_cap_same_completed(self, cap):
+        limits = SearchLimits(max_nodes=cap)
+        result = search._run_type_sweep(
+            [FlagType((3, 3, 4)), FlagType((4, 3, 3))], limits, 1)
+        derived, source = result[(3, 3, 4)], result[(4, 3, 3)]
+        assert derived.mirror_of == (4, 3, 3)
+        assert derived.completed == source.completed == (cap >= 456)
+        direct = time_branching_search(FlagType((3, 3, 4)), limits)
+        assert derived.completed == direct.completed
