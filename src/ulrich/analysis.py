@@ -64,31 +64,26 @@ def triple_of(P: BlockedPartition) -> PreUlrichTriple:
     return PreUlrichTriple(a, b, c)
 
 
-def meeting_times(T: PreUlrichTriple) -> list[Fraction]:
-    """All pairwise meeting times of the triple, exact."""
-    times = [Fraction(x - y) for x in T.a for y in T.b]
-    times += [Fraction(x - y, 2) for x in T.a for y in T.c]
-    times += [Fraction(x - y) for x in T.b for y in T.c]
-    return times
+def _mask(T: PreUlrichTriple) -> int:
+    """core.meeting_mask of the triple; no meeting time exceeds its span."""
+    top, bottom = (T.a or T.b)[0], (T.c or T.b)[-1]
+    return core.meeting_mask((T.a, T.b, T.c), top - bottom)
 
 
-def time_set(T: PreUlrichTriple) -> set[int] | None:
-    """The set of integral meeting times, or None if a time is fractional."""
-    out = set()
-    for t in meeting_times(T):
-        if t.denominator != 1:
-            return None
-        out.add(int(t))
-    return out
+def _parity_ok(T: PreUlrichTriple) -> bool:
+    outer = T.a + T.c
+    return all((x - outer[0]) % 2 == 0 for x in outer)
 
 
 def is_pre_ulrich(T: PreUlrichTriple) -> bool:
     """Same parity across A and C, and no two pairs meet at the same time."""
-    outer = T.a + T.c
-    if any((x - outer[0]) % 2 for x in outer):
-        return False
-    ts = time_set(T)
-    return ts is not None and len(ts) == T.dimension
+    return _parity_ok(T) and _mask(T) >= 0
+
+
+def _first_gap(mask: int) -> int:
+    """The smallest time t >= 1 whose bit is clear in a covered-time mask."""
+    m = mask | 1
+    return (~m & (m + 1)).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -108,57 +103,55 @@ class Extension:
     clashes: tuple[Fraction, ...]
 
 
-def _smallest_uncovered(T: PreUlrichTriple) -> int:
-    ts = time_set(T)
-    if ts is None:
-        raise ValueError("triple has a fractional meeting time")
-    t0 = 1
-    while t0 in ts:
-        t0 += 1
-    return t0
-
-
 def _extend(T: PreUlrichTriple, letter: str) -> Extension:
-    t0 = _smallest_uncovered(T)
+    mask = _mask(T)
+    if mask < 0:
+        raise ValueError("triple has a fractional or repeated meeting time")
+    t0 = _first_gap(mask)
     # At time t0 an entry x of block m (A, B, C for m = 0, 1, 2) sits at
     # x + v[m].
     v = [t0 * core.velocity(m, 2) for m in range(3)]
     if letter == "a":
-        if not (T.b or T.c):
-            raise ValueError("cannot add to A: B and C are both empty")
         # Largest position among B and C at time t0, pulled back to an entry.
         value = max([b + v[1] for b in T.b] + [c + v[2] for c in T.c]) - v[0]
         candidate = PreUlrichTriple(
             tuple(sorted(T.a + (value,), reverse=True)), T.b, T.c)
-        new_times = ([Fraction(value - b) for b in T.b]
-                     + [Fraction(value - c, 2) for c in T.c])
+        pairs = [(value - b, 1) for b in T.b] + [(value - c, 2) for c in T.c]
     elif letter == "c":
-        if not (T.a or T.b):
-            raise ValueError("cannot add to C: A and B are both empty")
         value = min([a + v[0] for a in T.a] + [b + v[1] for b in T.b]) - v[2]
         candidate = PreUlrichTriple(
             T.a, T.b, tuple(sorted(T.c + (value,), reverse=True)))
-        new_times = ([Fraction(a - value, 2) for a in T.a]
-                     + [Fraction(b - value) for b in T.b])
+        pairs = [(a - value, 2) for a in T.a] + [(b - value, 1) for b in T.b]
     else:
         raise ValueError(f"letter must be 'a' or 'c', got {letter!r}")
-    old = {Fraction(t) for t in (time_set(T) or ())}
-    clashes, fresh = [], set(old)
-    for t in new_times:
-        if t.denominator != 1 or t in fresh:
-            clashes.append(t)
-        fresh.add(t)
+    clashes = set()
+    for diff, d in pairs:
+        t, rem = divmod(diff, d)
+        if rem or mask >> t & 1:
+            clashes.add(Fraction(diff, d))
+        else:
+            mask |= 1 << t
+    # T's times are distinct integers, so the candidate's are unless a new
+    # pair clashed.
     return Extension(candidate, letter, t0, value,
-                     is_pre_ulrich(candidate), tuple(sorted(set(clashes))))
+                     not clashes and _parity_ok(candidate),
+                     tuple(sorted(clashes)))
 
 
 def add_a(T: PreUlrichTriple) -> Extension:
-    """Add the forced A entry meeting the triple at its first uncovered time."""
+    """Add the forced A entry meeting the triple at its first uncovered time.
+
+    Raises ValueError when two pairs of T meet at the same time or a pair
+    meets at a fractional time: T has no first uncovered time then.
+    """
     return _extend(T, "a")
 
 
 def add_c(T: PreUlrichTriple) -> Extension:
-    """Add the forced C entry meeting the triple at its first uncovered time."""
+    """Add the forced C entry meeting the triple at its first uncovered time.
+
+    Raises ValueError on the same triples as add_a.
+    """
     return _extend(T, "c")
 
 
@@ -183,17 +176,13 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
     full = triple_of(P)
     if not core.is_ulrich(P):
         raise ValueError("greedy reconstruction is defined for Ulrich input")
-    by_time: dict[int, tuple[int, int, int]] = {}
-    for ev in core.collision_schedule(P).events:
-        bi, k = ev.left
-        bj, h = ev.right
-        x = P.blocks[bi][k]
-        y = P.blocks[bj][h]
-        by_time[int(ev.time)] = (bi, bj, x, y)
+    by_time = {(x - y) // (j - i): (i, j, x, y)
+               for i, j in ((0, 1), (0, 2), (1, 2))
+               for x in P.blocks[i] for y in P.blocks[j]}
     sub = PreUlrichTriple((), full.b, ())
     letters = []
     while len(sub.a) < len(full.a) or len(sub.c) < len(full.c):
-        t0 = _smallest_uncovered(sub)
+        t0 = _first_gap(_mask(sub))
         bi, bj, x, y = by_time[t0]
         if (bi, bj) == (0, 1):
             letter = "a"

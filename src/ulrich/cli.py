@@ -218,7 +218,7 @@ def _cmd_verify(args) -> int:
                                           args.checkpoint)
         claim = f"no Ulrich partition with >= 4 blocks, total length <= {bound}"
     else:
-        bound = args.bound if args.bound is not None else (12 if args.long_run else 10)
+        bound = args.bound if args.bound is not None else 10
         done = search.verify_conjecture_sweep(bound, limits, args.threads,
                                               args.checkpoint)
         claim = f"no three-block Ulrich partition with all lengths >= 3, sum <= {bound}"
@@ -338,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=["multistep", "conjecture"])
     p.add_argument("bound", nargs="?", type=int, default=None,
                    help="total-length bound (defaults: multistep 7, "
-                        "conjecture 10, or 12 with --long-run)")
-    p.add_argument("--long-run", action="store_true",
-                   help="use the larger default bound for the conjecture sweep")
+                        "conjecture 10)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSONL file to record and resume per-type results")
     p.set_defaults(func=_cmd_verify)

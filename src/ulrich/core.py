@@ -7,7 +7,7 @@ still.  Two entries in different blocks therefore meet exactly once, at the
 positive rational time (x - y)/(j - i) for x in block i, y in block j, i < j.
 
 The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
-exactly the integers 1..N, each hit once.  ``schedule_ok`` is the one test of
+exactly the integers 1..N, each hit once.  ``meeting_mask`` is the one test of
 that; ``is_ulrich`` adds a witness on failure.  Everything in this module is
 exact integer/rational arithmetic; no floats.
 """
@@ -218,11 +218,12 @@ def collision_schedule(P: BlockedPartition) -> CollisionSchedule:
     return CollisionSchedule(tuple(events))
 
 
-def schedule_ok(blocks, N: int) -> bool:
-    """The Ulrich test on integer entry blocks, stopping at the first bad pair.
+def meeting_mask(blocks, hi: int) -> int:
+    """Covered-time bitmask of integer entry blocks, or -1 at the first bad pair.
 
-    Every cross-block pair must meet at an integer time in [1, N], all N
-    times distinct (hence covering [1, N]).
+    Bit t is set for each meeting time t.  A pair that meets at a non-integer
+    time, outside [1, hi], or at a time already taken gives -1.  With hi = N
+    a mask >= 0 is the Ulrich test: N distinct times in [1, N] cover it.
     """
     covered = 0
     for i, bi in enumerate(blocks):
@@ -231,13 +232,13 @@ def schedule_ok(blocks, N: int) -> bool:
             for x in bi:
                 for y in blocks[j]:
                     t, rem = divmod(x - y, d)
-                    if rem or t < 1 or t > N:
-                        return False
+                    if rem or t < 1 or t > hi:
+                        return -1
                     bit = 1 << t
                     if covered & bit:
-                        return False
+                        return -1
                     covered |= bit
-    return True
+    return covered
 
 
 def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
@@ -250,7 +251,7 @@ def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
     distinct from a genuine negative verdict.
     """
     blocks, N = P.blocks, P.dimension
-    if schedule_ok(blocks, N):
+    if meeting_mask(blocks, N) >= 0:
         return UlrichVerdict(True, None)
     # Failures only: sort the times (x - y)/d as the integers (x - y)*(L/d).
     L = math.lcm(*range(1, len(blocks)))
@@ -311,8 +312,9 @@ def congruence_ok(P: BlockedPartition) -> bool:
     """Necessary condition: entries of blocks i and j agree mod (j - i).
 
     Any failing pair of entries would meet at a non-integral time, so this is
-    implied by (and much cheaper than) the full Ulrich test.  Used as a
-    search pruner and a quick rejection filter.
+    implied by (and much cheaper than) the full Ulrich test.  ``ulrich
+    analyze`` reports it; the search folds the same congruences into the
+    residues of its pair move instead of calling this.
     """
     blocks = P.blocks
     for bi in range(len(blocks)):

@@ -200,7 +200,7 @@ def baseline_oracle(ft: FlagType) -> tuple[BlockedPartition, ...]:
         raise ValueError(f"baseline oracle is limited to N <= 14, got N = {N}")
     found = [core.from_blocks(blocks)
              for blocks in _window_candidates(ft)
-             if core.schedule_ok(blocks, N)]
+             if core.meeting_mask(blocks, N) >= 0]
     return tuple(sorted(found, key=lambda P: P.entries))
 
 

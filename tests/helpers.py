@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ulrich import core
+from ulrich.analysis import PreUlrichTriple
 from ulrich.core import BlockedPartition, FlagType
 
 
@@ -64,6 +65,52 @@ def repeated_position_ulrich(P: BlockedPartition) -> bool:
     return True
 
 
+def meeting_times(T) -> list[Fraction]:
+    """All pairwise meeting times of a triple (A|B|C), exact."""
+    times = [Fraction(x - y) for x in T.a for y in T.b]
+    times += [Fraction(x - y, 2) for x in T.a for y in T.c]
+    times += [Fraction(x - y) for x in T.b for y in T.c]
+    return times
+
+
+def reference_pre_ulrich(T) -> bool:
+    """A and C share a parity, and the meeting times are distinct integers."""
+    times = meeting_times(T)
+    outer = T.a + T.c
+    return (all((x - outer[0]) % 2 == 0 for x in outer)
+            and all(t.denominator == 1 for t in times)
+            and len(set(times)) == len(times))
+
+
+def reference_extension(T, letter: str):
+    """One greedy growth step from the definition, shared with no src code.
+
+    Returns (time, value, pre_ulrich, clashes, grown triple).  The first
+    uncovered time t0 exists only when the meeting times are distinct
+    integers; otherwise ValueError.  The new A entry is the lowest value
+    whose meetings with B and C all come at t0 or later; the new C entry is
+    the highest value whose meetings with A and B do.
+    """
+    times = meeting_times(T)
+    if any(t.denominator != 1 for t in times) or len(set(times)) != len(times):
+        raise ValueError("no first uncovered time")
+    t0 = next(t for t in itertools.count(1) if t not in times)
+    if letter == "a":
+        value = max([y + t0 for y in T.b] + [y + 2 * t0 for y in T.c])
+        grown = PreUlrichTriple(sorted(T.a + (value,), reverse=True), T.b, T.c)
+        new = [Fraction(value - y) for y in T.b]
+        new += [Fraction(value - y, 2) for y in T.c]
+    else:
+        value = min([x - 2 * t0 for x in T.a] + [x - t0 for x in T.b])
+        grown = PreUlrichTriple(T.a, T.b, sorted(T.c + (value,), reverse=True))
+        new = [Fraction(x - value, 2) for x in T.a]
+        new += [Fraction(x - value) for x in T.b]
+    clashes = {t for t in new
+               if t.denominator != 1 or t in times or new.count(t) > 1}
+    return (t0, value, reference_pre_ulrich(grown), tuple(sorted(clashes)),
+            grown)
+
+
 def all_types(max_dim: int, min_blocks: int = 2, max_blocks: int = 6):
     """Every all-positive FlagType with pairwise dimension <= max_dim."""
     out = []
@@ -103,6 +150,19 @@ def blocked_partitions(draw, max_blocks: int = 4, max_len: int = 3,
     entries = draw(st.lists(st.integers(-spread, spread), min_size=ft.n,
                             max_size=ft.n, unique=True))
     return BlockedPartition(ft, tuple(sorted(entries, reverse=True)))
+
+
+@st.composite
+def triples(draw, spread: int = 12):
+    """A random triple (A|B|C); small spreads give fractional and repeated
+    meeting times as often as pre-Ulrich triples."""
+    b = sorted(draw(st.lists(st.integers(-spread, spread), min_size=1,
+                             max_size=3, unique=True)), reverse=True)
+    a = draw(st.lists(st.integers(b[0] + 1, b[0] + spread), max_size=3,
+                      unique=True))
+    c = draw(st.lists(st.integers(b[-1] - spread, b[-1] - 1), max_size=3,
+                      unique=True))
+    return PreUlrichTriple(sorted(a, reverse=True), b, sorted(c, reverse=True))
 
 
 @st.composite

@@ -189,7 +189,7 @@ def _bridge_worker(lengths):
     candidates = ulrich = 0
     for blocks in search._window_candidates(ft):
         P = core.from_blocks(blocks)
-        by_schedule = core.schedule_ok(blocks, N)
+        by_schedule = core.meeting_mask(blocks, N) >= 0
         if by_schedule != geometry.is_ulrich_via_bwb(P):
             return lengths, candidates, ulrich, str(P)
         candidates += 1

@@ -2,7 +2,7 @@
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import helpers
 from ulrich import analysis, core, families, search
@@ -24,7 +24,6 @@ class TestTriples:
     def test_meeting_times_and_dimension(self):
         T = PreUlrichTriple((4,), (3, 0), (-2,))
         assert T.dimension == 5
-        assert sorted(analysis.meeting_times(T)) == [1, 2, 3, 4, 5]
         assert analysis.is_pre_ulrich(T)
 
     def test_parity_breaks_pre_ulrich(self):
@@ -88,6 +87,34 @@ class TestGrowthSteps:
     def test_extend_requires_material(self):
         with pytest.raises(ValueError, match="letter"):
             analysis.replay("x", (0,))
+
+    def test_repeated_time_raises(self):
+        # a - b, (a - c)/2 and b - c all equal 2: integral but repeated, so
+        # the triple has no first uncovered time, as with a fractional time.
+        T = PreUlrichTriple((4,), (2,), (0,))
+        assert not analysis.is_pre_ulrich(T)
+        for step in (analysis.add_a, analysis.add_c):
+            with pytest.raises(ValueError, match="repeated"):
+                step(T)
+
+    @given(helpers.triples())
+    @example(PreUlrichTriple((3,), (0,), (-2,)))      # fractional time 5/2
+    @example(PreUlrichTriple((4,), (2,), (0,)))       # repeated time 2
+    @example(PreUlrichTriple((8, 6), (5, 0), (-2,)))  # pre-Ulrich, grows
+    @example(PreUlrichTriple((2,), (0,), ()))         # grows into a clash
+    @settings(max_examples=400)
+    def test_growth_matches_reference(self, T):
+        assert analysis.is_pre_ulrich(T) == helpers.reference_pre_ulrich(T)
+        for letter, step in (("a", analysis.add_a), ("c", analysis.add_c)):
+            try:
+                want = helpers.reference_extension(T, letter)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    step(T)
+                continue
+            got = step(T)
+            assert (got.time, got.value, got.pre_ulrich, got.clashes,
+                    got.triple) == want
 
 
 class TestGreedyWord:

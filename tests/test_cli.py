@@ -252,6 +252,10 @@ class TestVerify:
         assert "3,3,3" not in out
         assert "type 1,1,1,1: 0 classes" in out
 
+    def test_long_run_is_gone(self, capsys):
+        assert run(["verify", "multistep", "4", "--long-run"]) == 2
+        assert "--long-run" in capsys.readouterr().err
+
     def test_json(self, capsys):
         assert run(["verify", "--json", "multistep", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
