@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import analysis, core, diagram, families, geometry, search
 from .core import BlockedPartition, FlagType
@@ -107,8 +108,15 @@ def _cmd_diagram(args) -> int:
 def _cmd_enumerate(args) -> int:
     ft = _parse_type(args.type)
     limits = _limits(args)
-    report = search.enumerate_ulrich(ft, limits=limits, workers=args.threads,
-                                     method=args.method)
+    if args.method == "baseline":
+        if args.threads != 1 or limits != search.SearchLimits():
+            raise _usage("the baseline method takes no limits, 1 worker")
+        start = time.monotonic()
+        classes = search.baseline_oracle(ft)
+        report = search.SearchReport(ft, classes, 0, time.monotonic() - start,
+                                     True)
+    else:
+        report = search.time_branching_search(ft, limits, args.threads)
     payload = search.report_to_dict(report)
     payload["command"] = "enumerate"
     # The text lines reuse the class strings already formatted for the JSON.
@@ -317,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[searching],
                        help="classify all Ulrich partitions of a type")
     p.add_argument("type", help='comma-separated block lengths, e.g. "2,8,2"')
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "time-branching", "baseline"])
+    p.add_argument("--method", default="time-branching",
+                   choices=["time-branching", "baseline"])
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("family", parents=[common],

@@ -122,11 +122,11 @@ def fundamental_F(m: int) -> BlockedPartition:
     return _checked(P, (2, m - 1, 1))
 
 
-def elongate(P: BlockedPartition, m: int | None = None) -> BlockedPartition:
+def elongate(P: BlockedPartition) -> BlockedPartition:
     """One elongation step (y + 2m, y | b | -y) -> longer middle block.
 
     The input must have shape (y + 2m, y | b | -y) for a positive integer m,
-    which is inferred when not supplied.  The output is
+    which the input fixes as m = (a1 - a2) / 2.  The output is
 
         (y + 5m, y + 3m | y + 3m - 1 .. y + 2m, b, -y - m .. -y - 2m + 1 | -y - 3m)
 
@@ -141,11 +141,7 @@ def elongate(P: BlockedPartition, m: int | None = None) -> BlockedPartition:
         raise ValueError(f"elongation needs a2 = -c1, got {a2} and {c1}")
     if (a1 - a2) % 2:
         raise ValueError("elongation needs a1 - a2 even")
-    inferred = (a1 - a2) // 2
-    if m is None:
-        m = inferred
-    elif m != inferred:
-        raise ValueError(f"a1 - a2 = {a1 - a2} forces m = {inferred}, got {m}")
+    m = (a1 - a2) // 2
     if m < 1:
         raise ValueError("elongation needs a1 > a2")
     middle = (list(range(y + 3 * m - 1, y + 2 * m - 1, -1))

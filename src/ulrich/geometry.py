@@ -61,17 +61,10 @@ class SchurWeight:
         return tuple(out)
 
 
-def to_weight(P: BlockedPartition, normalize: bool = False) -> SchurWeight:
-    """The blockwise highest weight lambda = P - rho of the bundle of P.
-
-    With ``normalize`` the weight is translated so its smallest entry is 0
-    (a determinant twist; ranks and vanishing are unaffected).
-    """
+def to_weight(P: BlockedPartition) -> SchurWeight:
+    """The blockwise highest weight lambda = P - rho of the bundle of P."""
     n = P.type.n
     lam = [e - s for e, s in zip(P.entries, rho(n))]
-    if normalize:
-        low = min(lam)
-        lam = [x - low for x in lam]
     return SchurWeight(P.type, tuple(lam))
 
 

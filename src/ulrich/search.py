@@ -54,9 +54,11 @@ classes unless equal as partitions.
 ``SearchLimits`` mean the same for any number of workers.  ``max_nodes``
 caps the nodes of the whole tree: a report is ``completed`` exactly when
 the serial search finishes within the cap.  ``budget_seconds`` bounds the
-whole search: the clock is read every 1024 nodes and before each subtree,
-and a split search stops at the first subtree a limit stopped.  A sweep
-gives these limits to each type.  ``_pool_map`` is the one process pool.
+whole search.  Every walk, serial, split prefix or subtree, reads the clock
+at its first node and then every 1024 nodes, and nowhere else; so a spent
+budget stops each walk at its root, and a split search stops at the first
+subtree a limit stopped.  A sweep gives these limits to each type.
+``_pool_map`` is the one process pool.
 
 Sweeps.  ``verify_no_multistep`` and ``verify_conjecture_sweep`` classify
 many types through ``_run_type_sweep``, which checkpoints each report as a
@@ -223,283 +225,253 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return (r1 + m1 * k) % m, m
 
 
-class _Searcher:
-    """Depth-first walk over partial placements, one per equivalence class.
+def _walk(lengths, state, depth, deadline, max_nodes):
+    """Search every completion of a partial placement, depth first.
 
-    ``det`` holds the placed entries per block; ``covered`` is a bitmask with
-    bit t-1 set when time t is realized by a placed pair; ``placed`` counts
-    the placed entries.  A snapshot ``state`` of these three, taken at a
-    fixed depth, lets the search resume in a worker process.
+    ``state`` is a snapshot (det, covered, placed), or None for the empty
+    placement: ``det`` holds the placed entries per block, ``covered`` is a
+    bitmask with bit t-1 set when time t is realized by a placed pair, and
+    ``placed`` counts the placed entries.  States with ``depth`` entries
+    placed are not expanded but returned as snapshots, in the order the
+    search reaches them, so a worker process can resume them.  Each node is
+    one call of ``dfs(covered, placed)``; the placed entries live in ``det``,
+    appended before a recursive call and popped after it.
+
+    Returns (found, frontier, nodes, completed): the canonical blocks of
+    each class found, the snapshots, the node count, and whether the walk
+    ran to the end.  A limit stops the walk with the classes found so far
+    and no snapshots.
     """
+    R = len(lengths)
+    N = FlagType(lengths).dimension
+    total = sum(lengths)
+    stop = total if depth is None else min(depth, total)
+    det, covered, placed = state or ([()] * R, 0, 0)
+    det = [list(block) for block in det]
+    found = []
+    frontier = []
+    # Entries of block m descend at speed vm[m]; an entry v sits at
+    # position v - t*vm[m] at time t.
+    vm = [-core.velocity(m, R - 1) for m in range(R)]
+    pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
+    # others[b]: (entries, m - b) for every block m other than b.
+    others = [[(det[m], m - b) for m in range(R) if m != b]
+              for b in range(R)]
+    nodes = 0
+    due = 1
 
-    def __init__(self, ft: FlagType, deadline: float | None,
-                 max_nodes: int | None, state=None):
-        self.lengths = ft.lengths
-        self.N = ft.dimension
-        det, self.covered, self.placed = state or ([()] * len(ft.lengths), 0, 0)
-        self.det = [list(block) for block in det]
-        self.nodes = 0
-        self.deadline = deadline
-        self.max_nodes = max_nodes
-        self.found: list[tuple[tuple[int, ...], ...]] = []
+    def tick(nodes):
+        """Check the limits at node count ``nodes``; return the next count due.
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def _next_tick(self, nodes: int) -> int:
-        """The first node count after ``nodes`` at which a limit may trip."""
-        due = _NEVER
-        if self.max_nodes is not None:
-            due = self.max_nodes + 1
-        if self.deadline is not None:
+        The node cap is exact.  The clock is read at the first node and then
+        every 1024 nodes; nowhere else is it compared with the deadline.
+        """
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExhausted
+        due = _NEVER if max_nodes is None else max_nodes + 1
+        if deadline is not None:
+            if time.monotonic() > deadline:
+                raise BudgetExhausted
             due = min(due, (nodes // 1024 + 1) * 1024)
         return due
 
-    def _tick(self, nodes: int) -> int:
-        """Check the limits at node count ``nodes``; return the next count due.
-
-        The node cap is exact and the clock is read every 1024 nodes.
-        """
-        if self.max_nodes is not None and nodes > self.max_nodes:
-            raise BudgetExhausted
-        if self.deadline is not None and nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhausted
-        return self._next_tick(nodes)
-
-    def _record(self):
-        blocks = [sorted(block, reverse=True) for block in self.det]
+    def record():
+        blocks = [sorted(block, reverse=True) for block in det]
         low = blocks[-1][-1]
-        self.found.append(tuple(tuple(v - low for v in block)
-                                for block in blocks))
+        found.append(tuple(tuple(v - low for v in block)
+                           for block in blocks))
 
-    # -- the search ---------------------------------------------------------
+    def cross(b, x, t0, acc):
+        """acc plus the crossing-time bits of entry x new in block b.
 
-    def _walk(self, depth: int | None = None) -> list:
-        """Search every completion of the current state, depth first.
-
-        States with ``depth`` entries placed are not expanded but returned
-        as snapshots, in the order the search reaches them.  Each node is
-        one call of ``dfs(covered, placed)``; the placed entries live in
-        ``det``, appended before a recursive call and popped after it.
+        Every crossing with a placed entry must be an integer time in
+        [t0, N] whose bit is clear in acc; otherwise returns -1.
         """
-        lengths = self.lengths
-        R = len(lengths)
-        N = self.N
-        total = sum(lengths)
-        stop = total if depth is None else min(depth, total)
-        det = self.det
-        record = self._record
-        frontier = []
-        # Entries of block m descend at speed vm[m]; an entry v sits at
-        # position v - t*vm[m] at time t.
-        vm = [-core.velocity(m, R - 1) for m in range(R)]
-        pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
-        # others[b]: (entries, m - b) for every block m other than b.
-        others = [[(det[m], m - b) for m in range(R) if m != b]
-                  for b in range(R)]
-        nodes = self.nodes
-        due = self._next_tick(nodes)
-
-        def cross(b, x, t0, acc):
-            """acc plus the crossing-time bits of entry x new in block b.
-
-            Every crossing with a placed entry must be an integer time in
-            [t0, N] whose bit is clear in acc; otherwise returns -1.
-            """
-            for blk, d in others[b]:
-                if d == 1 or d == -1:
-                    for v in blk:
-                        t = (x - v) * d
-                        if t < t0 or t > N:
-                            return -1
-                        bit = 1 << (t - 1)
-                        if acc & bit:
-                            return -1
-                        acc |= bit
-                else:
-                    for v in blk:
-                        t, rem = divmod(x - v, d)
-                        if rem or t < t0 or t > N:
-                            return -1
-                        bit = 1 << (t - 1)
-                        if acc & bit:
-                            return -1
-                        acc |= bit
-            return acc
-
-        def residue(s):
-            """The congruence x = r (mod M), as (r, M), that a new entry x
-            of block s meets exactly when its crossings with the placed
-            entries are all integers; None when no x does."""
-            r, M = 0, 1
-            for m in range(R):
-                d = abs(m - s)
-                blk = det[m]
-                if d < 2 or not blk:
-                    continue
-                v0 = blk[0] % d
+        for blk, d in others[b]:
+            if d == 1 or d == -1:
                 for v in blk:
-                    if v % d != v0:
-                        return None
-                solved = _crt(r, M, v0, d)
-                if solved is None:
+                    t = (x - v) * d
+                    if t < t0 or t > N:
+                        return -1
+                    bit = 1 << (t - 1)
+                    if acc & bit:
+                        return -1
+                    acc |= bit
+            else:
+                for v in blk:
+                    t, rem = divmod(x - v, d)
+                    if rem or t < t0 or t > N:
+                        return -1
+                    bit = 1 << (t - 1)
+                    if acc & bit:
+                        return -1
+                    acc |= bit
+        return acc
+
+    def residue(s):
+        """The congruence x = r (mod M), as (r, M), that a new entry x
+        of block s meets exactly when its crossings with the placed
+        entries are all integers; None when no x does."""
+        r, M = 0, 1
+        for m in range(R):
+            d = abs(m - s)
+            blk = det[m]
+            if d < 2 or not blk:
+                continue
+            v0 = blk[0] % d
+            for v in blk:
+                if v % d != v0:
                     return None
-                r, M = solved
-            return r, M
+            solved = _crt(r, M, v0, d)
+            if solved is None:
+                return None
+            r, M = solved
+        return r, M
 
-        def dfs(covered, placed):
-            nonlocal nodes, due
-            nodes += 1
-            if nodes >= due:
-                due = self._tick(nodes)
-            if placed >= stop:
-                if placed == total:
-                    record()
-                else:
-                    frontier.append(([blk[:] for blk in det], covered, placed))
-                return
-            t0 = ((covered + 1) & ~covered).bit_length()
-            if t0 > N:
-                return
-            if not placed:
-                # Gauge-fixing move: the pair realizing time 1 sits at 0.
-                for i, j in pairs:
-                    det[i].append(t0 * vm[i])
-                    det[j].append(t0 * vm[j])
-                    dfs(covered | 1 << (t0 - 1), 2)
-                    det[j].pop()
-                    det[i].pop()
-                return
+    def dfs(covered, placed):
+        nonlocal nodes, due
+        nodes += 1
+        if nodes >= due:
+            due = tick(nodes)
+        if placed >= stop:
+            if placed == total:
+                record()
+            else:
+                frontier.append(([blk[:] for blk in det], covered, placed))
+            return
+        t0 = ((covered + 1) & ~covered).bit_length()
+        if t0 > N:
+            return
+        if not placed:
+            # Gauge-fixing move: the pair realizing time 1 sits at 0.
+            for i, j in pairs:
+                det[i].append(t0 * vm[i])
+                det[j].append(t0 * vm[j])
+                dfs(covered | 1 << (t0 - 1), 2)
+                det[j].pop()
+                det[i].pop()
+            return
 
-            # Top and bottom position of each block at time t0.
-            tops = []
-            bots = []
-            for blk, v in zip(det, vm):
-                if blk:
-                    shift = t0 * v
-                    tops.append(max(blk) - shift)
-                    bots.append(min(blk) - shift)
-                else:
-                    tops.append(None)
-                    bots.append(None)
+        # Top and bottom position of each block at time t0.
+        tops = []
+        bots = []
+        for blk, v in zip(det, vm):
+            if blk:
+                shift = t0 * v
+                tops.append(max(blk) - shift)
+                bots.append(min(blk) - shift)
+            else:
+                tops.append(None)
+                bots.append(None)
 
-            # (B) one new entry in block b meets a placed one: at the top of
-            # the later blocks or at the bottom of the earlier ones.
-            # (D) two new entries in blocks i < j meet each other at a
-            # position p.  Every placed entry at position q in block m bounds
-            # where a new entry of block s != m may sit at t0, since the two
-            # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
-            # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
-            # top and bottom give the tightest of these bounds; windows holds
-            # (s, lo, hi) for each open block whose window is not empty.
-            span = N - t0
-            windows = []
-            for b in range(R):
-                blk = det[b]
-                if len(blk) >= lengths[b]:
-                    continue
-                high = low = lo = hi = None
-                for m in range(b + 1, R):
-                    q = tops[m]
-                    if q is not None:
-                        if high is None or q > high:
-                            high = q
-                        q = bots[m] + span * (m - b)
-                        if hi is None or q < hi:
-                            hi = q
-                for m in range(b):
-                    q = bots[m]
-                    if q is not None:
-                        if low is None or q < low:
-                            low = q
-                        q = tops[m] - span * (b - m)
-                        if lo is None or q > lo:
-                            lo = q
-                if high is None:
-                    targets = (low,)
-                    hi = low - 1
-                elif low is None:
-                    targets = (high,)
+        # (B) one new entry in block b meets a placed one: at the top of
+        # the later blocks or at the bottom of the earlier ones.
+        # (D) two new entries in blocks i < j meet each other at a
+        # position p.  Every placed entry at position q in block m bounds
+        # where a new entry of block s != m may sit at t0, since the two
+        # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
+        # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
+        # top and bottom give the tightest of these bounds; windows holds
+        # (s, lo, hi) for each open block whose window is not empty.
+        span = N - t0
+        windows = []
+        for b in range(R):
+            blk = det[b]
+            if len(blk) >= lengths[b]:
+                continue
+            high = low = lo = hi = None
+            for m in range(b + 1, R):
+                q = tops[m]
+                if q is not None:
+                    if high is None or q > high:
+                        high = q
+                    q = bots[m] + span * (m - b)
+                    if hi is None or q < hi:
+                        hi = q
+            for m in range(b):
+                q = bots[m]
+                if q is not None:
+                    if low is None or q < low:
+                        low = q
+                    q = tops[m] - span * (b - m)
+                    if lo is None or q > lo:
+                        lo = q
+            if high is None:
+                targets = (low,)
+                hi = low - 1
+            elif low is None:
+                targets = (high,)
+                lo = high + 1
+            else:
+                # The set fixes the order the two targets are tried in.
+                targets = {high, low}
+                if high >= lo:
                     lo = high + 1
-                else:
-                    # The set fixes the order the two targets are tried in.
-                    targets = {high, low}
-                    if high >= lo:
-                        lo = high + 1
-                    if low <= hi:
-                        hi = low - 1
-                if lo <= hi:
-                    windows.append((b, lo, hi))
-                shift = t0 * vm[b]
-                for q in targets:
-                    x = q + shift
-                    if x in blk:
-                        continue
-                    acc = cross(b, x, t0, covered)
-                    if acc >= 0:
-                        blk.append(x)
-                        dfs(acc, placed + 1)
-                        blk.pop()
-
-            # A pair's window is the overlap of its blocks' windows.  The
-            # crossings of a new entry x of block s with a placed entry v of
-            # block m are integers only if x = v (mod |m-s|); residue(s)
-            # folds these into one congruence x = r (mod M), worked out once
-            # per node and only for blocks of a pair whose window is open.
-            if len(windows) < 2:
-                return
-            residues = {}
-            for (i, lo, hi), (j, lo_j, hi_j) in itertools.combinations(
-                    windows, 2):
-                if lo_j > lo:
-                    lo = lo_j
-                if hi_j < hi:
-                    hi = hi_j
-                if lo > hi:
+                if low <= hi:
+                    hi = low - 1
+            if lo <= hi:
+                windows.append((b, lo, hi))
+            shift = t0 * vm[b]
+            for q in targets:
+                x = q + shift
+                if x in blk:
                     continue
-                if i not in residues:
-                    residues[i] = residue(i)
-                if j not in residues:
-                    residues[j] = residue(j)
-                ri, rj = residues[i], residues[j]
-                if ri is None or rj is None:
+                acc = cross(b, x, t0, covered)
+                if acc >= 0:
+                    blk.append(x)
+                    dfs(acc, placed + 1)
+                    blk.pop()
+
+        # A pair's window is the overlap of its blocks' windows.  The
+        # crossings of a new entry x of block s with a placed entry v of
+        # block m are integers only if x = v (mod |m-s|); residue(s)
+        # folds these into one congruence x = r (mod M), worked out once
+        # per node and only for blocks of a pair whose window is open.
+        if len(windows) < 2:
+            return
+        residues = {}
+        for (i, lo, hi), (j, lo_j, hi_j) in itertools.combinations(
+                windows, 2):
+            if lo_j > lo:
+                lo = lo_j
+            if hi_j < hi:
+                hi = hi_j
+            if lo > hi:
+                continue
+            if i not in residues:
+                residues[i] = residue(i)
+            if j not in residues:
+                residues[j] = residue(j)
+            ri, rj = residues[i], residues[j]
+            if ri is None or rj is None:
+                continue
+            si, sj = t0 * vm[i], t0 * vm[j]
+            # x = p + si and y = p + sj: one congruence for p.
+            step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
+            if step is None:
+                continue
+            rp, M = step
+            bi, bj = det[i], det[j]
+            for p in range(lo + (rp - lo) % M, hi + 1, M):
+                x = p + si
+                y = p + sj
+                acc = cross(i, x, t0, covered | 1 << (t0 - 1))
+                if acc < 0:
                     continue
-                si, sj = t0 * vm[i], t0 * vm[j]
-                # x = p + si and y = p + sj: one congruence for p.
-                step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
-                if step is None:
+                acc = cross(j, y, t0, acc)
+                if acc < 0:
                     continue
-                rp, M = step
-                bi, bj = det[i], det[j]
-                for p in range(lo + (rp - lo) % M, hi + 1, M):
-                    x = p + si
-                    y = p + sj
-                    acc = cross(i, x, t0, covered | 1 << (t0 - 1))
-                    if acc < 0:
-                        continue
-                    acc = cross(j, y, t0, acc)
-                    if acc < 0:
-                        continue
-                    bi.append(x)
-                    bj.append(y)
-                    dfs(acc, placed + 2)
-                    bj.pop()
-                    bi.pop()
+                bi.append(x)
+                bj.append(y)
+                dfs(acc, placed + 2)
+                bj.pop()
+                bi.pop()
 
-        try:
-            dfs(self.covered, self.placed)
-        finally:
-            self.nodes = nodes
-        return frontier
-
-    # -- entry points -------------------------------------------------------
-
-    def run(self, depth: int | None = None):
-        """Search; return (resumable states at ``depth``, completed)."""
-        try:
-            return self._walk(depth), True
-        except BudgetExhausted:
-            return [], False
+    try:
+        dfs(covered, placed)
+    except BudgetExhausted:
+        return found, [], nodes, False
+    return found, frontier, nodes, True
 
 
 def _pool_map(fn, jobs, workers: int):
@@ -518,13 +490,7 @@ def _pool_map(fn, jobs, workers: int):
 
 
 def _subtree_worker(args):
-    lengths, state, deadline, max_nodes = args
-    # A subtree smaller than 1024 nodes never reads the clock in the walk.
-    if deadline is not None and time.monotonic() > deadline:
-        return [], 1, False
-    s = _Searcher(FlagType(lengths), deadline, max_nodes, state)
-    _, completed = s.run()
-    return s.found, s.nodes, completed
+    return _walk(*args)
 
 
 def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
@@ -545,17 +511,16 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     deadline = (start + limits.budget_seconds
                 if limits.budget_seconds is not None else None)
     cap = limits.max_nodes
-    searcher = _Searcher(ft, deadline, cap)
     total = sum(ft.lengths)
-    states, completed = searcher.run(
-        min(4, total - 1) if workers > 1 and total > 3 else None)
-    found, nodes = searcher.found, searcher.nodes
+    depth = min(4, total - 1) if workers > 1 and total > 3 else None
+    found, states, nodes, completed = _walk(ft.lengths, None, depth,
+                                            deadline, cap)
     # A subtree may take the nodes left under the cap plus its own root.
     sub_cap = None if cap is None else cap - nodes + 1
-    jobs = [(ft.lengths, st, deadline, sub_cap) for st in states]
+    jobs = [(ft.lengths, st, None, deadline, sub_cap) for st in states]
     with contextlib.closing(
             _pool_map(_subtree_worker, jobs, workers)) as results:
-        for sub_found, sub_nodes, sub_done in results:
+        for sub_found, _, sub_nodes, sub_done in results:
             found.extend(sub_found)
             nodes += sub_nodes - 1
             if not sub_done or (cap is not None and nodes > cap):
@@ -568,25 +533,6 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
         raise RuntimeError(f"a class of {ft.lengths} was generated twice")
     return SearchReport(ft, classes, nodes, time.monotonic() - start,
                         completed)
-
-
-def enumerate_ulrich(ft: FlagType, limits: SearchLimits | None = None,
-                     workers: int = 1, method: str = "auto") -> SearchReport:
-    """Classify a type, dispatching on the requested method.
-
-    ``auto`` and ``time-branching`` run the fast engine; ``baseline`` runs
-    the enumeration oracle (N <= 14 only, no limits, one process).
-    """
-    if method in ("auto", "time-branching"):
-        return time_branching_search(ft, limits, workers)
-    if method == "baseline":
-        if workers != 1 or (limits or SearchLimits()) != SearchLimits():
-            raise ValueError("the baseline method takes no limits, 1 worker")
-        start = time.monotonic()
-        classes = baseline_oracle(ft)
-        return SearchReport(FlagType(ft.lengths), classes, 0,
-                            time.monotonic() - start, True)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,19 @@ class TestEnumerate:
         assert run(["enumerate", "--method", "baseline", "1,2,1"]) == 0
         assert "count 4 (complete" in capsys.readouterr().out
 
+    def test_baseline_method_json(self, capsys):
+        assert run(["enumerate", "--method", "baseline", "1,2,1",
+                    "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["completed"] is True
+        want = search.baseline_oracle(FlagType((1, 2, 1)))
+        assert payload["classes"] == [str(P) for P in want]
+
+    def test_auto_method_is_gone(self, capsys):
+        # time-branching is the default; there is no second name for it.
+        assert run(["enumerate", "--method", "auto", "1,2,1"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         ["--threads", "2"],
         ["--budget-seconds", "0"],

@@ -169,10 +169,6 @@ class TestElongation:
             P = families.elongated_family(k, m)
             assert P.type.lengths == (2, m - 1 + 2 * k * m, 1)
 
-    def test_explicit_m_agrees(self):
-        F2 = families.fundamental_F(2)
-        assert families.elongate(F2, 2) == families.elongate(F2)
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match=r"shape \(2, s, 1\)"):
             families.elongate(families.one_n_one(2, (1, 1)))
@@ -180,8 +176,6 @@ class TestElongation:
             families.elongate(core.shift(families.fundamental_F(2), 1))
         with pytest.raises(ValueError, match="even"):
             families.elongate(parse_partition("5,2|1|-2"))
-        with pytest.raises(ValueError, match="forces m = 2"):
-            families.elongate(families.fundamental_F(2), 3)
 
     def test_brute_oracle(self):
         assert brute_is_ulrich(families.elongated_family(2, 2))

@@ -40,10 +40,6 @@ class TestWeights:
         assert w.entries == (1, 1, -1, -2)
         assert w.blocks == ((1,), (1, -1), (-2,))
 
-    def test_to_weight_normalized(self):
-        w = to_weight(parse_partition("4|3,0|-2"), normalize=True)
-        assert min(w.entries) == 0 and w.entries == (3, 3, 1, 0)
-
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="entries"):
             SchurWeight(FlagType((1, 2, 1)), (0, 0, 0))

@@ -21,10 +21,9 @@ import pytest
 import ulrich
 from ulrich import core, families, search
 from ulrich.core import FlagType
-from ulrich.search import (SearchLimits, baseline_oracle,
-                           enumerate_ulrich, report_from_dict, report_to_dict,
-                           time_branching_search, verify_conjecture_sweep,
-                           verify_no_multistep)
+from ulrich.search import (SearchLimits, baseline_oracle, report_from_dict,
+                           report_to_dict, time_branching_search,
+                           verify_conjecture_sweep, verify_no_multistep)
 
 from helpers import all_types, brute_is_ulrich
 
@@ -201,19 +200,19 @@ class TestCrt:
         assert search._crt(-7, 3, 9, 1) == (2, 3)
 
 
-_RECORD_TWICE = """
+_WALK_TWICE = """
 from ulrich import search
 from ulrich.core import FlagType
 
-record = search._Searcher._record
+walk = search._walk
 
 
-def record_twice(self):
-    record(self)
-    record(self)
+def walk_twice(*args):
+    found, frontier, nodes, completed = walk(*args)
+    return found * 2, frontier, nodes, completed
 
 
-search._Searcher._record = record_twice
+search._walk = walk_twice
 """
 
 
@@ -221,18 +220,18 @@ class TestDuplicateClassCheck:
     """A class found twice is an engine fault and must never pass silently."""
 
     def test_raises(self, monkeypatch):
-        record = search._Searcher._record
+        walk = search._walk
 
-        def record_twice(self):
-            record(self)
-            record(self)
+        def walk_twice(*args):
+            found, frontier, nodes, completed = walk(*args)
+            return found * 2, frontier, nodes, completed
 
-        monkeypatch.setattr(search._Searcher, "_record", record_twice)
+        monkeypatch.setattr(search, "_walk", walk_twice)
         with pytest.raises(RuntimeError, match="twice"):
             time_branching_search(FlagType((2, 2, 2)))
 
     def test_raises_under_optimize(self):
-        code = _RECORD_TWICE + textwrap.dedent("""
+        code = _WALK_TWICE + textwrap.dedent("""
             assert False, "asserts are stripped under -O"
             try:
                 search.time_branching_search(FlagType((2, 2, 2)))
@@ -267,7 +266,8 @@ class TestLimits:
 
     # The limits mean the same with one worker and with several: (2,8,2)
     # has 10,884 nodes, and (1,10,1) has 4,004 in subtrees of fewer than
-    # 1024 nodes each, none of which reaches a clock read of its own.
+    # 1024 nodes each.  Every walk reads the clock at its root, so a spent
+    # budget stops the serial search, or the split prefix, at node 1.
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cap", [5000, 10883, 10884])
@@ -280,10 +280,11 @@ class TestLimits:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_budget_stops_at_first_clock_read(self, workers):
-        report = time_branching_search(
-            FlagType((1, 10, 1)), SearchLimits(budget_seconds=0), workers)
-        assert not report.completed
-        assert report.nodes <= 1024
+        for lengths in [(2, 2, 2), (1, 10, 1)]:
+            report = time_branching_search(
+                FlagType(lengths), SearchLimits(budget_seconds=0), workers)
+            assert report.completed is False
+            assert report.nodes == 1
 
     def test_generous_limits_complete(self):
         limits = SearchLimits(budget_seconds=60, max_nodes=10 ** 7)
@@ -326,37 +327,6 @@ class TestReportSerialization:
         assert report.classes == classes_of((2, 2, 2))
         assert (report.nodes, report.completed) == (52, True)
         assert report_to_dict(report) == json.loads(line)
-
-
-class TestEnumerateDispatch:
-    def test_default_method(self):
-        report = enumerate_ulrich(FlagType((2, 2, 2)))
-        assert report.count == 2
-
-    def test_baseline_method(self):
-        report = enumerate_ulrich(FlagType((1, 2, 1)), method="baseline")
-        assert report.completed
-        assert report.classes == baseline_oracle(FlagType((1, 2, 1)))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"workers": 2},
-        {"limits": SearchLimits(budget_seconds=0)},
-        {"limits": SearchLimits(max_nodes=10)},
-    ], ids=["workers", "budget", "nodes"])
-    def test_baseline_rejects_resources(self, kwargs):
-        with pytest.raises(ValueError, match="baseline method takes no"):
-            enumerate_ulrich(FlagType((1, 2, 1)), method="baseline", **kwargs)
-
-    def test_spec_object(self):
-        # The full request (limits, workers, method) given as keywords.
-        report = enumerate_ulrich(FlagType((2, 2, 1)),
-                                  limits=SearchLimits(max_nodes=10 ** 6),
-                                  workers=1, method="time-branching")
-        assert report.completed and report.count == 2
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            enumerate_ulrich(FlagType((1, 1, 1)), method="sorcery")
 
 
 class TestSweeps:
