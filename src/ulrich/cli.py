@@ -220,13 +220,18 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     limits = _limits(args)
+    # (default bound, least bound that selects a type): a sweep over no
+    # type would report HOLDS having searched nothing.
+    default, least = {"multistep": (7, 4), "conjecture": (10, 9)}[args.claim]
+    bound = default if args.bound is None else args.bound
+    if bound < least:
+        raise _usage(f"verify {args.claim} needs a bound of at least {least}, "
+                     f"got {bound}")
     if args.claim == "multistep":
-        bound = args.bound if args.bound is not None else 7
         done = search.verify_no_multistep(bound, limits, args.threads,
                                           args.checkpoint)
         claim = f"no Ulrich partition with >= 4 blocks, total length <= {bound}"
     else:
-        bound = args.bound if args.bound is not None else 10
         done = search.verify_conjecture_sweep(bound, limits, args.threads,
                                               args.checkpoint)
         claim = f"no three-block Ulrich partition with all lengths >= 3, sum <= {bound}"
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=["multistep", "conjecture"])
     p.add_argument("bound", nargs="?", type=int, default=None,
                    help="total-length bound (defaults: multistep 7, "
-                        "conjecture 10)")
+                        "conjecture 10; least: multistep 4, conjecture 9)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSONL file to record and resume per-type results")
     p.set_defaults(func=_cmd_verify)

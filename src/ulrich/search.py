@@ -41,12 +41,19 @@ Two independent engines:
   form (smallest entry 0).
 
   The walk is one recursive closure whose arguments are the covered-time
-  bitmask and the number of placed entries; the entries themselves sit in
-  per-block lists, appended before a recursive call and popped after it.
-  Both moves bound positions by each block's top and bottom at t0 (only
-  the residues read every placed entry), and the crossing test against an
-  adjacent block needs no division.  The tests pin the node count of
-  several types, and a node limit stops the walk at exactly that node.
+  bitmask and the number of placed entries.  The rest of its state is kept
+  per block and updated incrementally, as in Knuth's dancing links: the
+  entries, the top and bottom entry, and two bitmasks of the entries (bit
+  v + OFF and bit OFF - v) are pushed with each entry before a recursive
+  call and restored after it, never rebuilt at a node.  Both moves read a
+  block's top and bottom at t0 straight from its extremes (only the
+  residues and the crossings with blocks two or more apart read every
+  placed entry).  Against an adjacent block the crossing times are x - v
+  or v - x; once the block's extremes put them all in [t0, N], the whole
+  set of time bits is one right shift of a mask, and a clash is one AND
+  with the covered times.  The tests pin the node count of several types
+  and digests of the visiting order, and a node limit stops the walk at
+  exactly that node.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
@@ -234,8 +241,12 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     ``placed`` counts the placed entries.  States with ``depth`` entries
     placed are not expanded but returned as snapshots, in the order the
     search reaches them, so a worker process can resume them.  Each node is
-    one call of ``dfs(covered, placed)``; the placed entries live in ``det``,
-    appended before a recursive call and popped after it.
+    one call of ``dfs(covered, placed)``.  The placed entries live in
+    ``det``; each block's top and bottom entry and its entry masks ``fwd``
+    and ``rev`` are built once from ``state``, then ``place`` pushes an
+    entry onto all four before a recursive call and ``unplace`` pops it
+    and restores the saved values after it.  ``cross`` tests an adjacent
+    block by one shift of its mask and other blocks entry by entry.
 
     Returns (found, frontier, nodes, completed): the canonical blocks of
     each class found, the snapshots, the node count, and whether the walk
@@ -254,9 +265,26 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     # position v - t*vm[m] at time t.
     vm = [-core.velocity(m, R - 1) for m in range(R)]
     pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
-    # others[b]: (entries, m - b) for every block m other than b.
-    others = [[(det[m], m - b) for m in range(R) if m != b]
+    # others[b]: (m, m - b, entries) for every block m other than b.
+    others = [[(m, m - b, det[m]) for m in range(R) if m != b]
               for b in range(R)]
+    # Every placed entry v obeys |v| <= (R-1)(N+1): it meets an entry e
+    # of the gauge pair in another block at a time t in [1, N], so
+    # |v - e| = t*|m - b| <= N(R-1), and 0 <= e = vm[.] <= R-1.  A
+    # candidate x reaches a mask only as a (B) target, which meets a
+    # placed entry at t0, or after an adjacent block's range check, which
+    # puts a crossing time in [t0, N]; either way |x - v| <= N(R-1) for a
+    # placed v.  So OFF = (R-1)(N+1) + N(R-1) keeps every bit index and
+    # shift count >= 0; Python's ValueError on a negative shift would
+    # expose a bound that is too small.
+    OFF = (R - 1) * (2 * N + 1)
+    # Per block: top and bottom entry (None when empty), and the entries
+    # as bit v + OFF of fwd and bit OFF - v of rev.  place() pushes an
+    # entry and returns what unplace() restores when it is popped.
+    top = [max(blk, default=None) for blk in det]
+    bot = [min(blk, default=None) for blk in det]
+    fwd = [sum(1 << (v + OFF) for v in blk) for blk in det]
+    rev = [sum(1 << (OFF - v) for v in blk) for blk in det]
     nodes = 0
     due = 1
 
@@ -281,22 +309,47 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         found.append(tuple(tuple(v - low for v in block)
                            for block in blocks))
 
+    def place(b, x):
+        saved = top[b], bot[b], fwd[b], rev[b]
+        det[b].append(x)
+        if saved[0] is None:
+            top[b] = bot[b] = x
+        elif x > saved[0]:
+            top[b] = x
+        elif x < saved[1]:
+            bot[b] = x
+        fwd[b] |= 1 << (x + OFF)
+        rev[b] |= 1 << (OFF - x)
+        return saved
+
+    def unplace(b, saved):
+        det[b].pop()
+        top[b], bot[b], fwd[b], rev[b] = saved
+
     def cross(b, x, t0, acc):
         """acc plus the crossing-time bits of entry x new in block b.
 
         Every crossing with a placed entry must be an integer time in
-        [t0, N] whose bit is clear in acc; otherwise returns -1.
+        [t0, N] whose bit is clear in acc; otherwise returns -1.  Against
+        an adjacent block the crossing times are x - v (m = b + 1) or
+        v - x (m = b - 1); once the block's top and bottom put them all
+        in [t0, N], bit t-1 of each is one shift of rev or fwd.
         """
-        for blk, d in others[b]:
-            if d == 1 or d == -1:
-                for v in blk:
-                    t = (x - v) * d
-                    if t < t0 or t > N:
-                        return -1
-                    bit = 1 << (t - 1)
-                    if acc & bit:
-                        return -1
-                    acc |= bit
+        for m, d, blk in others[b]:
+            if d == 1:
+                q = top[m]
+                if q is None:
+                    continue
+                if q > x - t0 or bot[m] < x - N:
+                    return -1
+                times = rev[m] >> (OFF + 1 - x)
+            elif d == -1:
+                q = bot[m]
+                if q is None:
+                    continue
+                if q < x + t0 or top[m] > x + N:
+                    return -1
+                times = fwd[m] >> (x + OFF + 1)
             else:
                 for v in blk:
                     t, rem = divmod(x - v, d)
@@ -306,6 +359,10 @@ def _walk(lengths, state, depth, deadline, max_nodes):
                     if acc & bit:
                         return -1
                     acc |= bit
+                continue
+            if acc & times:
+                return -1
+            acc |= times
         return acc
 
     def residue(s):
@@ -345,24 +402,12 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         if not placed:
             # Gauge-fixing move: the pair realizing time 1 sits at 0.
             for i, j in pairs:
-                det[i].append(t0 * vm[i])
-                det[j].append(t0 * vm[j])
+                saved_i = place(i, t0 * vm[i])
+                saved_j = place(j, t0 * vm[j])
                 dfs(covered | 1 << (t0 - 1), 2)
-                det[j].pop()
-                det[i].pop()
+                unplace(j, saved_j)
+                unplace(i, saved_i)
             return
-
-        # Top and bottom position of each block at time t0.
-        tops = []
-        bots = []
-        for blk, v in zip(det, vm):
-            if blk:
-                shift = t0 * v
-                tops.append(max(blk) - shift)
-                bots.append(min(blk) - shift)
-            else:
-                tops.append(None)
-                bots.append(None)
 
         # (B) one new entry in block b meets a placed one: at the top of
         # the later blocks or at the bottom of the earlier ones.
@@ -371,29 +416,32 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         # where a new entry of block s != m may sit at t0, since the two
         # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
         # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
-        # top and bottom give the tightest of these bounds; windows holds
-        # (s, lo, hi) for each open block whose window is not empty.
+        # top and bottom at t0, top[m] - shifts[m] and bot[m] - shifts[m],
+        # give the tightest of these bounds; windows holds (s, lo, hi) for
+        # each open block whose window is not empty.
         span = N - t0
+        shifts = [t0 * v for v in vm]
         windows = []
         for b in range(R):
-            blk = det[b]
-            if len(blk) >= lengths[b]:
+            if len(det[b]) >= lengths[b]:
                 continue
             high = low = lo = hi = None
             for m in range(b + 1, R):
-                q = tops[m]
+                q = top[m]
                 if q is not None:
+                    q -= shifts[m]
                     if high is None or q > high:
                         high = q
-                    q = bots[m] + span * (m - b)
+                    q = bot[m] - shifts[m] + span * (m - b)
                     if hi is None or q < hi:
                         hi = q
             for m in range(b):
-                q = bots[m]
+                q = bot[m]
                 if q is not None:
+                    q -= shifts[m]
                     if low is None or q < low:
                         low = q
-                    q = tops[m] - span * (b - m)
+                    q = top[m] - shifts[m] - span * (b - m)
                     if lo is None or q > lo:
                         lo = q
             if high is None:
@@ -411,16 +459,16 @@ def _walk(lengths, state, depth, deadline, max_nodes):
                     hi = low - 1
             if lo <= hi:
                 windows.append((b, lo, hi))
-            shift = t0 * vm[b]
+            shift = shifts[b]
             for q in targets:
                 x = q + shift
-                if x in blk:
+                if fwd[b] >> (x + OFF) & 1:
                     continue
                 acc = cross(b, x, t0, covered)
                 if acc >= 0:
-                    blk.append(x)
+                    saved = place(b, x)
                     dfs(acc, placed + 1)
-                    blk.pop()
+                    unplace(b, saved)
 
         # A pair's window is the overlap of its blocks' windows.  The
         # crossings of a new entry x of block s with a placed entry v of
@@ -445,13 +493,12 @@ def _walk(lengths, state, depth, deadline, max_nodes):
             ri, rj = residues[i], residues[j]
             if ri is None or rj is None:
                 continue
-            si, sj = t0 * vm[i], t0 * vm[j]
+            si, sj = shifts[i], shifts[j]
             # x = p + si and y = p + sj: one congruence for p.
             step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
             if step is None:
                 continue
             rp, M = step
-            bi, bj = det[i], det[j]
             for p in range(lo + (rp - lo) % M, hi + 1, M):
                 x = p + si
                 y = p + sj
@@ -461,11 +508,11 @@ def _walk(lengths, state, depth, deadline, max_nodes):
                 acc = cross(j, y, t0, acc)
                 if acc < 0:
                     continue
-                bi.append(x)
-                bj.append(y)
+                saved_i = place(i, x)
+                saved_j = place(j, y)
                 dfs(acc, placed + 2)
-                bj.pop()
-                bi.pop()
+                unplace(j, saved_j)
+                unplace(i, saved_i)
 
     try:
         dfs(covered, placed)

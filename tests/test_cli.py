@@ -265,6 +265,17 @@ class TestVerify:
         assert "3,3,3" not in out
         assert "type 1,1,1,1: 0 classes" in out
 
+    @pytest.mark.parametrize("claim, bound, least", [
+        ("multistep", "-3", 4), ("multistep", "3", 4),
+        ("conjecture", "8", 9), ("conjecture", "0", 9),
+    ])
+    def test_bound_selecting_no_type(self, claim, bound, least, capsys):
+        # A sweep over no type proves nothing, so it must not say HOLDS.
+        assert run(["verify", claim, bound]) == 2
+        captured = capsys.readouterr()
+        assert "HOLDS" not in captured.out
+        assert f"at least {least}" in captured.err
+
     def test_long_run_is_gone(self, capsys):
         assert run(["verify", "multistep", "4", "--long-run"]) == 2
         assert "--long-run" in capsys.readouterr().err

@@ -7,6 +7,7 @@ classifications on mid-sized types where plain enumeration is hopeless.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -172,6 +173,48 @@ class TestSearchTree:
             assert report.nodes == cap + 1
         report = time_branching_search(ft, SearchLimits(max_nodes=3406))
         assert report.completed and report.nodes == 3406
+
+    @staticmethod
+    def walk_digest(types):
+        """sha256 of each type's found list in order, node count, completed
+        flag, and depth-4 frontier as (block tuples, covered, placed)."""
+        h = hashlib.sha256()
+        for lengths in types:
+            found, _, nodes, completed = search._walk(lengths, None, None,
+                                                      None, None)
+            frontier = search._walk(lengths, None, 4, None, None)[1]
+            frontier = [(tuple(map(tuple, det)), covered, placed)
+                        for det, covered, placed in frontier]
+            h.update(repr((lengths, found, nodes, completed,
+                           frontier)).encode())
+        return h.hexdigest()
+
+    # One digest per block count over every type of total <= 10, then the
+    # types with the widest entry range and the most blocks.
+    @pytest.mark.parametrize("types, digest", [
+        pytest.param(
+            [ft.lengths for total in range(blocks, 11)
+             for ft in search._types_with_blocks(blocks, total)],
+            digest, id=f"{blocks}-blocks")
+        for blocks, digest in [
+            (2, "bfb078c064cc62062b764c4baf6e03e2a9ea532c66bca1b4541bb2e51a5773aa"),
+            (3, "cf8567d2a2cfc69191f11f025222a243612beaccb034396617e5f5371aa612d3"),
+            (4, "bf52b33202bdefd27ae1a93d729d4fdb74f0116239439bdd3eeb6acab5fc545d"),
+            (5, "26e7e122eeddc3e1173adce5fd752db7cd459ba28c1ebcf7cc50b20f0c99e875"),
+            (6, "e6751423358982d572013a275882eb1d566bded3a208e2832779fd366e6e9ae7"),
+        ]
+    ] + [
+        pytest.param([lengths], digest,
+                     id="-".join(map(str, lengths)))
+        for lengths, digest in [
+            ((1, 2, 21), "5599a733b72a757e0d7e7fe89f904a2084fe266b53dc208e9af2472c8071e1aa"),
+            ((21, 2, 1), "2fb12f33b7d43ec096c5f3a82606481ef25bb2bbc7a66beaff4a688415d421b3"),
+            ((2, 8, 2), "caf40e0b0eb33fac78cab1b5569ef2f4ff3f6262268a382130f056ea44f02bbb"),
+            ((1,) * 9, "49e122443b6aba96095f1bbb2f398127729b8843eff5847b630fab6892d35428"),
+        ]
+    ])
+    def test_visit_order_pinned(self, types, digest):
+        assert self.walk_digest(types) == digest
 
 
 class TestCrt:
