@@ -15,15 +15,15 @@ reading of the collision-time criterion.
 
 Dimensions are computed by the hook-content formula and independently by
 Weyl's dimension formula; degrees of flag varieties come from the leading
-term of the Hilbert polynomial.  Everything is exact integer/rational
-arithmetic.
+term of the Hilbert polynomial.  Each formula is a quotient of two integer
+products, taken by one exact division that raises RuntimeError if it leaves
+a remainder; no rational arithmetic is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import core
 from .core import BlockedPartition, FlagType
@@ -93,13 +93,15 @@ def schur_dim(mu, n: int) -> int:
     parts = _normalize_weight(mu, n)
     if len(parts) > n:
         return 0
+    # cols[j] is the length of column j: the number of rows longer than j.
+    cols = []
+    for i in range(len(parts) - 1, -1, -1):
+        cols.extend([i + 1] * (parts[i] - len(cols)))
     num = den = 1
     for i, row in enumerate(parts):
         for j in range(row):
             num *= n + j - i
-            arm = row - j - 1
-            leg = sum(1 for other in parts[i + 1:] if other > j)
-            den *= arm + leg + 1
+            den *= row - j + cols[j] - i - 1
     dim, rem = divmod(num, den)
     if rem:
         raise RuntimeError("hook-content product must divide exactly")
@@ -107,18 +109,27 @@ def schur_dim(mu, n: int) -> int:
 
 
 def schur_dim_weyl(mu, n: int) -> int:
-    """dim of S_mu(C^n) by Weyl's formula: an independent cross-check."""
+    """dim of S_mu(C^n) by Weyl's formula: an independent cross-check.
+
+    The product over i < j of (mu_i - mu_j + j - i) / (j - i), taken as one
+    integer product over another and one exact division.  A pair with both
+    rows in the zero tail contributes (j - i) / (j - i) = 1, so only the
+    nonzero rows start a pair; row i's denominators multiply to (n-1-i)!.
+    """
     parts = _normalize_weight(mu, n)
     if len(parts) > n:
         return 0
     full = parts + (0,) * (n - len(parts))
-    dim = Fraction(1)
-    for i in range(n):
+    num = den = 1
+    for i, row in enumerate(parts):
         for j in range(i + 1, n):
-            dim *= Fraction(full[i] - full[j] + j - i, j - i)
-    if dim.denominator != 1:
-        raise RuntimeError(f"Weyl's formula gave a non-integer dimension {dim}")
-    return int(dim)
+            num *= row - full[j] + j - i
+        den *= math.factorial(n - 1 - i)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(
+            f"Weyl's formula gave a non-integer dimension {num}/{den}")
+    return dim
 
 
 def bundle_rank(w: SchurWeight) -> int:
@@ -251,6 +262,8 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
     the leading coefficient gives
 
         deg = N! * prod_{u<w} (c_u - c_w)^(l_u l_w) / prod_{cross pairs} (j - i).
+
+    Both products are taken in integers and divided once, exactly.
     """
     ft = FlagType(ft.lengths)
     if not ft.all_positive:
@@ -260,17 +273,20 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
     if len(polarization.a) != r:
         raise ValueError(f"{r}-step flag needs {r} polarization coefficients")
     levels = polarization.block_levels()
-    N = ft.dimension
-    deg = Fraction(math.factorial(N))
+    num = math.factorial(ft.dimension)
+    den = 1
     block_of = [b for b, l in enumerate(ft.lengths) for _ in range(l)]
     for i in range(ft.n):
         for j in range(i + 1, ft.n):
             u, w = block_of[i], block_of[j]
             if u != w:
-                deg *= Fraction(levels[u] - levels[w], j - i)
-    if deg.denominator != 1 or deg <= 0:
-        raise RuntimeError(f"degree must be a positive integer, got {deg}")
-    return int(deg)
+                num *= levels[u] - levels[w]
+                den *= j - i
+    deg, rem = divmod(num, den)
+    if rem or deg <= 0:
+        raise RuntimeError(
+            f"degree must be a positive integer, got {num}/{den}")
+    return deg
 
 
 def ulrich_identity_check(P: BlockedPartition,

@@ -462,8 +462,8 @@ def _walk(lengths, state, depth, deadline, max_nodes):
             shift = shifts[b]
             for q in targets:
                 x = q + shift
-                if fwd[b] >> (x + OFF) & 1:
-                    continue
+                # x is not yet in block b: it meets a placed entry of
+                # another block at t0, so were it placed, t0 would be covered.
                 acc = cross(b, x, t0, covered)
                 if acc >= 0:
                     saved = place(b, x)

@@ -111,6 +111,39 @@ def reference_extension(T, letter: str):
             grown)
 
 
+def partitions(boxes: int, largest: int | None = None):
+    """Every partition of ``boxes`` with parts at most ``largest``, as
+    weakly decreasing tuples."""
+    if boxes == 0:
+        yield ()
+        return
+    for first in range(min(boxes, largest or boxes), 0, -1):
+        for rest in partitions(boxes - first, first):
+            yield (first,) + rest
+
+
+def count_ssyt(shape, n: int) -> int:
+    """The number of semistandard tableaux of a partition shape with entries
+    1..n, counted by filling the boxes one by one (rows weakly increase,
+    columns strictly).  This is dim S_shape(C^n) with no formula at all."""
+    boxes = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    filling = {}
+
+    def fill(k):
+        if k == len(boxes):
+            return 1
+        i, j = boxes[k]
+        low = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
+        total = 0
+        for v in range(low, n + 1):
+            filling[i, j] = v
+            total += fill(k + 1)
+        filling.pop((i, j), None)
+        return total
+
+    return fill(0)
+
+
 def all_types(max_dim: int, min_blocks: int = 2, max_blocks: int = 6):
     """Every all-positive FlagType with pairwise dimension <= max_dim."""
     out = []

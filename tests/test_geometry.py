@@ -1,13 +1,16 @@
 """Tests for the geometric side: Bott cohomology, ranks, degrees.
 
-Schur dimensions are pinned to textbook values (binomials for rows/columns)
-and cross-checked hook-content vs Weyl; degrees are pinned to the classical
-closed forms for Grassmannians and two-step flags; the rank/degree/sections
+Schur dimensions are pinned to textbook values (binomials for rows/columns),
+cross-checked hook-content vs Weyl, and counted against a brute-force
+enumeration of semistandard tableaux; degrees are pinned to the classical
+closed forms for Grassmannians and two-step flags and checked against the
+leading finite difference of the Hilbert function; the rank/degree/sections
 identity is verified on the known Ulrich classes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -22,7 +25,8 @@ from ulrich.geometry import (PolarizationWeights, SchurWeight, bundle_rank,
                              rho, schur_dim, schur_dim_weyl, to_weight,
                              twist, ulrich_identity_check)
 
-from helpers import blocked_partitions, ulrich_members
+from helpers import (blocked_partitions, count_ssyt, partitions,
+                     ulrich_members)
 
 
 weight_vectors = st.lists(st.integers(-5, 9), min_size=0, max_size=6).map(
@@ -96,6 +100,23 @@ class TestSchurDimensions:
         if mu and mu[-1] < 0 and len(mu) != n:
             return  # rejected by both, nothing to compare
         assert schur_dim(mu, n) == schur_dim_weyl(mu, n)
+
+    def test_both_formulas_count_tableaux(self):
+        # Every shape of at most 6 boxes, also those with more than n rows
+        # (no tableaux, dimension 0).  A full-length weight shifted below
+        # zero is the same module twisted by a power of det, so it has the
+        # same dimension.
+        for n in range(1, 5):
+            for boxes in range(7):
+                for shape in partitions(boxes):
+                    want = count_ssyt(shape, n)
+                    weights = [shape]
+                    if len(shape) <= n:
+                        full = shape + (0,) * (n - len(shape))
+                        weights.append(tuple(x - 2 for x in full))
+                    for mu in weights:
+                        assert schur_dim(mu, n) == want, (mu, n)
+                        assert schur_dim_weyl(mu, n) == want, (mu, n)
 
 
 class TestBundleRank:
@@ -227,6 +248,27 @@ class TestFlagGeometry:
     def test_polarization_arity(self):
         with pytest.raises(ValueError, match="coefficients"):
             flag_degree(FlagType((1, 1, 1)), PolarizationWeights((1,)))
+
+    def test_degree_is_the_leading_difference(self):
+        # The Hilbert function k -> dim S_{k*lambda}(C^n), lambda the
+        # polarization's level on each block, is a polynomial of degree N
+        # with leading coefficient deg/N!, so its N-th finite difference
+        # is the degree.  Only the hook-content formula is used here.
+        for n in range(2, 7):
+            for steps in range(1, n):
+                for cuts in itertools.combinations(range(1, n), steps):
+                    bounds = (0,) + cuts + (n,)
+                    ft = FlagType(tuple(b - a for a, b
+                                        in zip(bounds, bounds[1:])))
+                    N = ft.dimension
+                    for a in itertools.product((1, 2), repeat=steps):
+                        pol = PolarizationWeights(a)
+                        lam = [c for c, l in zip(pol.block_levels(),
+                                                 ft.lengths) for _ in range(l)]
+                        diff = sum((-1) ** (N - k) * math.comb(N, k)
+                                   * schur_dim([k * x for x in lam], n)
+                                   for k in range(N + 1))
+                        assert flag_degree(ft, pol) == diff, (ft, a)
 
     def test_degree_needs_positive_blocks(self):
         with pytest.raises(ValueError, match="nonempty"):
