@@ -5,15 +5,11 @@ __version__ = "0.1.0"
 from . import analysis, core, diagram, families, geometry, search  # noqa: F401
 from .core import (  # noqa: F401
     BlockedPartition,
-    CollisionEvent,
-    CollisionSchedule,
     FlagType,
     UlrichVerdict,
     canonicalize,
-    collision_schedule,
     congruence_ok,
     dual,
-    equivalent,
     evolve,
     format_partition,
     from_blocks,

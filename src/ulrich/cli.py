@@ -5,8 +5,9 @@ separated by '|', e.g. "5|3,-1,-2,-4|-5".  Types are comma-separated lengths,
 e.g. "2,8,2".
 
 Exit codes: 0 success / positive verdict; 1 negative verdict (not Ulrich,
-identity fails, counterexample found); 2 usage error; 3 resource budget
-exhausted before completion.
+identity fails, counterexample found); 2 usage error, unreadable or
+unwritable file, or malformed checkpoint; 3 resource budget exhausted before
+completion.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ _FAMILIES = {
     "one_n_one": (families.one_n_one, "n signs   e.g.: one_n_one 4 +-+-"),
     "two_one_k": (families.two_one_k, "m         type (2,1,k), k=(4^(m+1)-1)/3"),
     "one_two_k": (families.one_two_k, "m         type (1,2,k)"),
-    "two_param": (families.two_param, "m1 m2     type (k1+k2,2,1), m1 != m2"),
+    "two_param": (families.two_param, "m1 m2     type (k1+k2,2,1)"),
     "fundamental": (families.fundamental_F, "m         seed F_m, type (2,m-1,1)"),
     "elongated": (families.elongated_family, "k m       E^k(F_m), type (2,m-1+2km,1)"),
     "p_u": (families.p_u, "u         type (2,2u,2)"),
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

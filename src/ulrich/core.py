@@ -9,7 +9,7 @@ positive rational time (x - y)/(j - i) for x in block i, y in block j, i < j.
 The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
 exactly the integers 1..N, each hit once.  ``meeting_mask`` is the one test of
 that; ``is_ulrich`` adds a witness on failure.  Everything in this module is
-exact integer/rational arithmetic; no floats.
+exact integer arithmetic, no floats; only that witness time is a rational.
 """
 
 from __future__ import annotations
@@ -143,39 +143,6 @@ def format_partition(P: BlockedPartition) -> str:
 
 
 @dataclass(frozen=True)
-class CollisionEvent:
-    """A meeting of two entries: blocks/indices are 0-based, time is exact."""
-
-    time: Fraction
-    left: tuple[int, int]   # (block, index-in-block) of the faster entry
-    right: tuple[int, int]  # (block, index-in-block) of the slower entry
-
-    def label(self) -> str:
-        return f"{entry_label(*self.left)}-{entry_label(*self.right)}"
-
-
-def entry_label(block: int, index: int) -> str:
-    """Human name for an entry: block letter plus 1-based position, e.g. a2."""
-    if block >= 26:
-        return f"B{block + 1}.{index + 1}"
-    return f"{chr(ord('a') + block)}{index + 1}"
-
-
-@dataclass(frozen=True)
-class CollisionSchedule:
-    """All cross-block meetings, sorted by time then by entry indices."""
-
-    events: tuple[CollisionEvent, ...]
-
-    @property
-    def times(self) -> tuple[Fraction, ...]:
-        return tuple(ev.time for ev in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-@dataclass(frozen=True)
 class UlrichVerdict:
     """Outcome of the Ulrich test, with a witness for failures.
 
@@ -201,21 +168,6 @@ def evolve(P: BlockedPartition, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(e + t * velocity(b, r) for e in block)
         for b, block in enumerate(P.blocks))
-
-
-def collision_schedule(P: BlockedPartition) -> CollisionSchedule:
-    """One event per cross-block pair; exactly N = P.dimension events."""
-    blocks = P.blocks
-    events = []
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            d = bj - bi
-            for k, x in enumerate(blocks[bi]):
-                for h, y in enumerate(blocks[bj]):
-                    events.append(
-                        CollisionEvent(Fraction(x - y, d), (bi, k), (bj, h)))
-    events.sort(key=lambda ev: (ev.time, ev.left, ev.right))
-    return CollisionSchedule(tuple(events))
 
 
 def meeting_mask(blocks, hi: int) -> int:
@@ -276,11 +228,6 @@ def shift(P: BlockedPartition, c: int) -> BlockedPartition:
 def canonicalize(P: BlockedPartition) -> BlockedPartition:
     """The translation representative whose minimum entry is 0."""
     return shift(P, -P.entries[-1])
-
-
-def equivalent(P: BlockedPartition, Q: BlockedPartition) -> bool:
-    """True when P and Q differ by a translation."""
-    return canonicalize(P) == canonicalize(Q)
 
 
 def symmetric(P: BlockedPartition) -> BlockedPartition:

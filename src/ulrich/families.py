@@ -9,7 +9,8 @@ Families covered:
 * ``one_n_one(n, signs)``    — type (1, n, 1), one class per sign pattern;
 * ``two_one_k(m)``           — type (2, 1, k) with k = (4^(m+1) - 1) / 3;
 * ``one_two_k(m)``           — type (1, 2, k), dual shape of the above;
-* ``two_param(m1, m2)``      — type (k1 + k2, 2, 1) with two 4-power levels;
+* ``two_param(m1, m2)``      — type (k1 + k2, 2, 1) with two 4-power levels,
+                               m1 == m2 included;
 * ``fundamental_F(m)``       — type (2, m-1, 1) seeds of the elongation tower;
 * ``elongate(P)``            — the tower step (2, s, 1) -> (2, s + 2m, 1);
 * ``elongated_family(k, m)`` — E^k(F_m);
@@ -96,11 +97,9 @@ def two_param(m1: int, m2: int) -> BlockedPartition:
 
     Built by greedy replay: take the growth word of the dual of
     ``one_two_k(m1)`` (an Ulrich partition of type (k1, 2, 1)) and extend it
-    by k2 further 'a' steps from the middle block (1, 0).  Defined for
-    m1 != m2; the diagonal would duplicate a meeting time.
+    by k2 further 'a' steps from the middle block (1, 0).  The diagonal
+    m1 == m2 is included: two_param(0, 0) is 8,2|1,0|-4 of type (2, 2, 1).
     """
-    if m1 == m2:
-        raise ValueError("the two-parameter family needs m1 != m2")
     k1 = (4 ** (m1 + 1) - 1) // 3
     k2 = (4 ** (m2 + 1) - 1) // 3
     base = core.dual(one_two_k(m1))

@@ -198,7 +198,7 @@ def is_ulrich_via_bwb(P: BlockedPartition) -> bool:
     """The geometric Ulrich test: every twist t = 1..N is Bott-singular.
 
     Only the repeated-entry check is needed (no dimensions), so this is fast
-    and entirely independent of the collision-schedule implementation.
+    and entirely independent of the meeting-time kernel ``core.meeting_mask``.
     """
     N = P.dimension
     n = P.type.n

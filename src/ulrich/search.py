@@ -155,12 +155,24 @@ def report_to_dict(report: SearchReport) -> dict:
 
 
 def report_from_dict(data: dict) -> SearchReport:
-    ft = FlagType(tuple(data["type"]))
-    classes = tuple(core.parse_partition(s) for s in data["classes"])
+    """Inverse of ``report_to_dict``; ValueError names a bad or missing field."""
+    if not isinstance(data, dict):
+        raise ValueError("a report record must be a JSON object")
+
+    def field(key, kind, item=None):
+        value = data.get(key)
+        if not isinstance(value, kind) or item and not all(
+                isinstance(v, item) for v in value):
+            raise ValueError(f"report field {key!r} is missing or mistyped")
+        return value
+
     mirror_of = data.get("mirror_of")
-    return SearchReport(ft, classes, data["nodes"], data["elapsed"],
-                        data["completed"],
-                        None if mirror_of is None else tuple(mirror_of))
+    return SearchReport(
+        FlagType(tuple(field("type", list, int))),
+        tuple(core.parse_partition(s) for s in field("classes", list, str)),
+        field("nodes", int), field("elapsed", (int, float)),
+        field("completed", bool),
+        None if mirror_of is None else tuple(field("mirror_of", list, int)))
 
 
 # --------------------------------------------------------------------------
@@ -616,9 +628,13 @@ def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
         with open(path, "r+b") as fh:
             fh.truncate(len(whole) + len(newline))
     reports = {}
-    for line in whole.decode().splitlines():
+    for number, line in enumerate(whole.decode().splitlines(), 1):
         if line.strip():
-            report = report_from_dict(json.loads(line))
+            try:
+                report = report_from_dict(json.loads(line))
+            except ValueError as exc:
+                raise ValueError(
+                    f"checkpoint {path} line {number}: {exc}") from None
             reports[report.type.lengths] = report
     return reports
 

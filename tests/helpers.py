@@ -14,19 +14,26 @@ from ulrich.analysis import PreUlrichTriple
 from ulrich.core import BlockedPartition, FlagType
 
 
+def meetings(blocks) -> list[tuple[Fraction, int, int, int, int]]:
+    """Every cross-block meeting (time, i, x, j, y) from the definition.
+
+    Entry x of block i (0-based) meets entry y of a later block j at the
+    exact time (x - y)/(j - i).  Shares no code with src: it is the one
+    Fraction reference the other oracles here read their times from.
+    """
+    return [(Fraction(x - y, j - i), i, x, j, y)
+            for i, bi in enumerate(blocks)
+            for j in range(i + 1, len(blocks))
+            for x in bi for y in blocks[j]]
+
+
 def brute_is_ulrich(P: BlockedPartition) -> bool:
     """Independent formulation: the collision-time multiset is exactly 1..N.
 
     Computed straight from the definition with Counter and Fractions, sharing
     no code with core.is_ulrich's scan or the search engine's bitmasks.
     """
-    blocks = P.blocks
-    times = Counter()
-    for i, bi in enumerate(blocks):
-        for j in range(i + 1, len(blocks)):
-            for x in bi:
-                for y in blocks[j]:
-                    times[Fraction(x - y, j - i)] += 1
+    times = Counter(t for t, *_ in meetings(P.blocks))
     want = Counter(Fraction(t) for t in range(1, P.dimension + 1))
     return times == want
 
@@ -38,13 +45,8 @@ def reference_witness(P: BlockedPartition):
     non-integral or repeats an earlier one, else the first time in 1..N that
     no pair meets at.  Shares no code with core.is_ulrich.
     """
-    blocks = P.blocks
-    times = sorted(Fraction(x - y, j - i)
-                   for i, bi in enumerate(blocks)
-                   for j in range(i + 1, len(blocks))
-                   for x in bi for y in blocks[j])
     seen = set()
-    for t in times:
+    for t in sorted(t for t, *_ in meetings(P.blocks)):
         if t.denominator != 1:
             return "non-integral-time", t
         if t in seen:
@@ -67,10 +69,7 @@ def repeated_position_ulrich(P: BlockedPartition) -> bool:
 
 def meeting_times(T) -> list[Fraction]:
     """All pairwise meeting times of a triple (A|B|C), exact."""
-    times = [Fraction(x - y) for x in T.a for y in T.b]
-    times += [Fraction(x - y, 2) for x in T.a for y in T.c]
-    times += [Fraction(x - y) for x in T.b for y in T.c]
-    return times
+    return [t for t, *_ in meetings((T.a, T.b, T.c))]
 
 
 def reference_pre_ulrich(T) -> bool:
@@ -224,6 +223,7 @@ def ulrich_members(draw):
     if kind == "p_u":
         return families.p_u(draw(st.integers(1, 4)))
     if kind == "two_param":
-        m1, m2 = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0)]))
+        m1, m2 = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0),
+                                        (1, 1)]))
         return families.two_param(m1, m2)
     return families.sporadic(draw(st.sampled_from(families.sporadic_names())))

@@ -19,7 +19,7 @@ from ulrich.core import FlagType, parse_partition
 from ulrich.geometry import PolarizationWeights, SchurWeight
 
 from conftest import record_criterion
-from helpers import all_types, random_partition
+from helpers import all_types, meetings, random_partition
 
 
 @contextmanager
@@ -261,22 +261,15 @@ def test_criterion_11_involutions():
             D = core.dual(P)  # defined for every Ulrich partition
             assert core.is_ulrich(D)
             assert core.dual(D) == core.shift(P, -N1 * r)
-            assert core.equivalent(core.dual(D), P)
+            assert core.canonicalize(core.dual(D)) == core.canonicalize(P)
             # the collision of x (block i) with y (block j) at time t maps to
             # the dual's collision of x - N1*(r-i) with y - N1*(r-j), which
             # happens at time N1 - t
-            dual_pairs = {}
-            for ev in core.collision_schedule(D).events:
-                bi, ii = ev.left
-                bj, jj = ev.right
-                dual_pairs[ev.time] = frozenset((D.blocks[bi][ii],
-                                                 D.blocks[bj][jj]))
-            for ev in core.collision_schedule(P).events:
-                bi, ii = ev.left
-                bj, jj = ev.right
-                want = frozenset((P.blocks[bi][ii] - N1 * (r - bi),
-                                  P.blocks[bj][jj] - N1 * (r - bj)))
-                assert dual_pairs[N1 - ev.time] == want
+            dual_pairs = {t: frozenset((x, y))
+                          for t, _, x, _, y in meetings(D.blocks)}
+            for t, i, x, j, y in meetings(P.blocks):
+                want = frozenset((x - N1 * (r - i), y - N1 * (r - j)))
+                assert dual_pairs[N1 - t] == want
 
         rng = random.Random(20260822)
         ulrich_hits = dual_defined = 0

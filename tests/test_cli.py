@@ -265,6 +265,24 @@ class TestVerify:
         assert "3,3,3" not in out
         assert "type 1,1,1,1: 0 classes" in out
 
+    def test_checkpoint_in_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "ck.jsonl")
+        assert run(["verify", "multistep", "4", "--checkpoint", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("record, field", [
+        ({"schema": 1, "type": [1, 1, 1, 1]}, "classes"),
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
+          "nodes": "many", "elapsed": 0.0, "completed": True}, "nodes"),
+    ], ids=["missing", "mistyped"])
+    def test_bad_checkpoint_record(self, record, field, tmp_path, capsys):
+        path = tmp_path / "ck.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n")
+        assert run(["verify", "multistep", "4", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {path} line 2:")
+        assert repr(field) in err
+
     @pytest.mark.parametrize("claim, bound, least", [
         ("multistep", "-3", 4), ("multistep", "3", 4),
         ("conjecture", "8", 9), ("conjecture", "0", 9),
@@ -366,6 +384,11 @@ class TestDiagram:
         assert run(["diagram", "4|3,0|-2", "--svg", str(path)]) == 0
         assert path.read_text().startswith("<svg")
         assert capsys.readouterr().out == ""
+
+    def test_svg_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.svg"
+        assert run(["diagram", "4|3,0|-2", "--svg", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_json(self, capsys):
         assert run(["diagram", "--json", "4|3,0|-2"]) == 0

@@ -1,4 +1,4 @@
-"""Core model: partitions, schedules, the Ulrich test, and the symmetries."""
+"""Core model: partitions, meeting times, the Ulrich test, and the symmetries."""
 
 import pytest
 from fractions import Fraction
@@ -82,26 +82,12 @@ class TestEvolveAndSchedule:
     def test_schedule_of_known_example(self):
         # (4|3,0|-2): five pairs, times 1..5, each once.
         P = core.parse_partition("4|3,0|-2")
-        sched = core.collision_schedule(P)
-        assert len(sched) == P.dimension == 5
-        assert sorted(sched.times) == [1, 2, 3, 4, 5]
-        by_time = {int(ev.time): ev.label() for ev in sched.events}
-        assert by_time == {1: "a1-b1", 2: "b2-c1", 3: "a1-c1",
-                           4: "a1-b2", 5: "b1-c1"}
-
-    def test_schedule_sorted_and_exact(self):
-        P = core.parse_partition("6,1|0|-3")
-        sched = core.collision_schedule(P)
-        assert list(sched.times) == sorted(sched.times)
-        assert Fraction(9, 2) in sched.times
-
-    @given(helpers.blocked_partitions())
-    def test_schedule_counts_all_pairs(self, P):
-        assert len(core.collision_schedule(P)) == P.dimension
-
-    def test_entry_label(self):
-        assert core.entry_label(0, 0) == "a1"
-        assert core.entry_label(2, 1) == "c2"
+        assert core.meeting_mask(P.blocks, 5) == 0b111110
+        pairs = helpers.meetings(P.blocks)
+        assert len(pairs) == P.dimension == 5
+        by_time = {t: (x, y) for t, _, x, _, y in pairs}
+        assert by_time == {1: (4, 3), 2: (0, -2), 3: (4, -2),
+                           4: (4, 0), 5: (3, -2)}
 
 
 class TestIsUlrich:
@@ -167,7 +153,7 @@ class TestSymmetries:
     @given(helpers.blocked_partitions(), st.integers(-30, 30))
     def test_shift_and_equivalence(self, P, c):
         Q = core.shift(P, c)
-        assert core.equivalent(P, Q)
+        assert core.canonicalize(P) == core.canonicalize(Q)
         assert bool(core.is_ulrich(P)) == bool(core.is_ulrich(Q))
         C = core.canonicalize(P)
         assert C.entries[-1] == 0
@@ -182,8 +168,8 @@ class TestSymmetries:
 
     @given(helpers.blocked_partitions())
     def test_symmetric_preserves_times(self, P):
-        assert (sorted(core.collision_schedule(core.symmetric(P)).times)
-                == sorted(core.collision_schedule(P).times))
+        assert (sorted(t for t, *_ in helpers.meetings(core.symmetric(P).blocks))
+                == sorted(t for t, *_ in helpers.meetings(P.blocks)))
 
     @given(helpers.ulrich_members())
     def test_dual_on_ulrich(self, P):
@@ -198,19 +184,10 @@ class TestSymmetries:
         """Pairs meeting at time t in P meet at time N+1-t in the dual."""
         N1 = P.dimension + 1
         r = P.type.r
-        expected = set()
-        for ev in core.collision_schedule(P).events:
-            bi, k = ev.left
-            bj, h = ev.right
-            x = P.blocks[bi][k] - N1 * (r - bi)
-            y = P.blocks[bj][h] - N1 * (r - bj)
-            expected.add((N1 - ev.time, frozenset((x, y))))
-        D = core.dual(P)
-        got = set()
-        for ev in core.collision_schedule(D).events:
-            bi, k = ev.left
-            bj, h = ev.right
-            got.add((ev.time, frozenset((D.blocks[bi][k], D.blocks[bj][h]))))
+        expected = {(N1 - t, frozenset((x - N1 * (r - i), y - N1 * (r - j))))
+                    for t, i, x, j, y in helpers.meetings(P.blocks)}
+        got = {(t, frozenset((x, y)))
+               for t, _, x, _, y in helpers.meetings(core.dual(P).blocks)}
         assert got == expected
 
     def test_dual_raises_on_late_pairs(self):

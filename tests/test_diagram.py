@@ -5,9 +5,11 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from ulrich import core, diagram, families
+from ulrich import families
 from ulrich.core import parse_partition
 from ulrich.diagram import evolution_table, render_ascii, render_svg
+
+from helpers import meetings
 
 
 class TestEvolutionTable:
@@ -37,14 +39,13 @@ class TestEvolutionTable:
 
     def test_pair_counts_match_schedule(self):
         # for an Ulrich partition the display table shows, at each integer
-        # time, exactly the pairs the exact schedule puts there
+        # time, exactly the pairs that meet there by the exact definition
         for P in (families.sporadic("322"), families.p_u(1),
                   families.one_n_one(3, (1, -1, 1))):
             table = evolution_table(P)
-            schedule = core.collision_schedule(P)
+            times = [t for t, *_ in meetings(P.blocks)]
             for t in range(1, P.dimension + 1):
-                want = sum(1 for ev in schedule.events
-                           if ev.time == Fraction(t))
+                want = times.count(Fraction(t))
                 assert table.coincident_pair_count(t) == want
 
     def test_triple_coincidence_counts_three_pairs(self):

@@ -17,7 +17,7 @@ import textwrap
 import pytest
 
 import ulrich
-from ulrich import core, families
+from ulrich import core, families, geometry, search
 from ulrich.core import parse_partition
 
 from helpers import brute_is_ulrich
@@ -119,12 +119,23 @@ class TestTwoParam:
         assert families.two_param(1, 0).type.lengths == (6, 2, 1)
 
     def test_order_matters(self):
-        assert not core.equivalent(families.two_param(0, 1),
-                                   families.two_param(1, 0))
+        assert (core.canonicalize(families.two_param(0, 1))
+                != core.canonicalize(families.two_param(1, 0)))
 
-    def test_rejects_diagonal(self):
-        with pytest.raises(ValueError, match="m1 != m2"):
-            families.two_param(1, 1)
+    def test_diagonal_matches_search(self):
+        # m1 == m2 builds a valid class: the only one of its type for m = 1
+        # and m = 2, one of the two (2,2,1) classes for m = 0
+        assert str(families.two_param(0, 0)) == "8,2|1,0|-4"
+        assert (str(families.two_param(1, 1))
+                == "32,30,28,26,20,14,8,6,4,2|1,0|-16")
+        for m, lengths, count in ((0, (2, 2, 1), 2), (1, (10, 2, 1), 1),
+                                  (2, (42, 2, 1), 1)):
+            P = families.two_param(m, m)
+            assert P.type.lengths == lengths
+            assert geometry.is_ulrich_via_bwb(P)
+            report = search.time_branching_search(P.type)
+            assert report.completed and report.count == count
+            assert core.canonicalize(P) in report.classes
 
     def test_brute_oracle(self):
         assert brute_is_ulrich(families.two_param(0, 1))
@@ -155,8 +166,9 @@ class TestElongation:
         assert str(Q) == "18,14|13,12,7,6,1,-4,-5,-10,-11|-14"
 
     def test_elongated_family_closed_form(self):
-        assert core.equivalent(families.elongated_family(1, 3),
-                               families.elongate(families.fundamental_F(3)))
+        assert (core.canonicalize(families.elongated_family(1, 3))
+                == core.canonicalize(
+                    families.elongate(families.fundamental_F(3))))
         assert str(families.elongated_family(1, 3)) == \
             "18,12|11,10,9,2,1,-6,-7,-8|-12"
 
@@ -195,8 +207,9 @@ class TestPU:
         # but NOT by symmetric alone: the type has two mirror-image classes.
         for u in (1, 2, 3):
             P = families.p_u(u)
-            assert core.equivalent(core.symmetric(core.dual(P)), P)
-            assert not core.equivalent(core.symmetric(P), P)
+            assert (core.canonicalize(core.symmetric(core.dual(P)))
+                    == core.canonicalize(P))
+            assert core.canonicalize(core.symmetric(P)) != core.canonicalize(P)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -235,15 +248,16 @@ class TestSporadic:
 
     def test_named_examples_meet_the_families(self):
         # three of the walkthrough examples coincide with family members
-        assert core.equivalent(families.sporadic("121"),
-                               families.one_n_one(2, (1, -1)))
-        assert core.equivalent(families.sporadic("221"),
-                               families.elongated_family(1, 1))
-        assert core.equivalent(families.sporadic("222"), families.p_u(1))
+        canonical = core.canonicalize
+        assert (canonical(families.sporadic("121"))
+                == canonical(families.one_n_one(2, (1, -1))))
+        assert (canonical(families.sporadic("221"))
+                == canonical(families.elongated_family(1, 1)))
+        assert canonical(families.sporadic("222")) == canonical(families.p_u(1))
 
 
 _NEVER_ULRICH = """
-from ulrich import core, families
+from ulrich import core, families, geometry, search
 
 is_ulrich = core.is_ulrich
 core.is_ulrich = lambda P: is_ulrich(core.parse_partition("2|0"))
