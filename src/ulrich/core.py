@@ -139,7 +139,7 @@ def parse_partition(text: str) -> BlockedPartition:
 
 def format_partition(P: BlockedPartition) -> str:
     """Inverse of parse_partition."""
-    return "|".join(",".join(str(e) for e in block) for block in P.blocks)
+    return "|".join(",".join(map(str, block)) for block in P.blocks)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,8 @@ def two_param(m1: int, m2: int) -> BlockedPartition:
     by k2 further 'a' steps from the middle block (1, 0).  The diagonal
     m1 == m2 is included: two_param(0, 0) is 8,2|1,0|-4 of type (2, 2, 1).
     """
+    if m2 < 0:
+        raise ValueError("m must be nonnegative")
     k1 = (4 ** (m1 + 1) - 1) // 3
     k2 = (4 ** (m2 + 1) - 1) // 3
     base = core.dual(one_two_k(m1))

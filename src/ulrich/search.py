@@ -77,12 +77,18 @@ the (D) windows map onto each other.  So a sweep searches one orientation
 of each mirror pair it is asked for and derives the other
 (``_mirror_report``): the mirrored classes, the source's node count and
 ``completed`` flag, no elapsed time, and ``mirror_of`` naming the source.
-Palindromic types, and types whose reverse is not requested, are searched.
+Types whose reverse is not requested are searched.  A palindromic type is
+its own mirror, and the same isomorphism maps the subtree under its gauge
+pair (i, j) onto the one under (R-1-j, R-1-i): ``time_branching_search``
+walks one of each such pair and derives the other.  In every report
+``nodes`` is the size of the type's whole tree; for a palindromic type
+one mirror half of it is counted, not walked.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -109,10 +115,15 @@ class SearchReport:
     """Outcome of one type search.
 
     ``completed`` is False when a resource limit stopped the search early, in
-    which case ``classes`` is a lower bound, not a classification.  A limit
+    which case ``classes`` is a lower bound, not a classification.  A search
+    stopped by ``max_nodes`` reports ``max_nodes + 1`` nodes.  A budget
     that stops a search with ``workers > 1`` leaves ``nodes`` a lower bound
     too, which varies from run to run: the subtrees still running in other
     workers are terminated and their nodes are not counted.
+
+    ``nodes`` is the size of the type's search tree.  For a palindromic
+    type one mirror half of it is counted, not walked
+    (``time_branching_search``).
 
     ``mirror_of`` is set on a report that a sweep derived from the search of
     the reversed type (``_mirror_report``): it names that source type, and
@@ -244,6 +255,27 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return (r1 + m1 * k) % m, m
 
 
+@functools.lru_cache(maxsize=64)
+def _type_tables(lengths):
+    """The constants of ``_walk`` for one type, shared by all its walks.
+
+    Entries of block m descend at speed vm[m] = R-1-m: an entry v sits at
+    position v - shifts[t][m] at time t, with shifts[t][m] = t*vm[m].
+    pairs lists the block pairs i < j; later[b] and earlier[b] the blocks
+    after and before b; far[b] the pairs (m, |m - b|) with |m - b| >= 2.
+    """
+    R = len(lengths)
+    N = FlagType(lengths).dimension
+    vm = tuple(-core.velocity(m, R - 1) for m in range(R))
+    shifts = tuple(tuple(t * v for v in vm) for t in range(N + 1))
+    pairs = tuple((i, j) for i in range(R - 1) for j in range(i + 1, R))
+    later = tuple(tuple(range(b + 1, R)) for b in range(R))
+    earlier = tuple(tuple(range(b)) for b in range(R))
+    far = tuple(tuple((m, abs(m - b)) for m in range(R) if abs(m - b) >= 2)
+                for b in range(R))
+    return N, shifts, pairs, later, earlier, far
+
+
 def _walk(lengths, state, depth, deadline, max_nodes):
     """Search every completion of a partial placement, depth first.
 
@@ -254,11 +286,13 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     placed are not expanded but returned as snapshots, in the order the
     search reaches them, so a worker process can resume them.  Each node is
     one call of ``dfs(covered, placed)``.  The placed entries live in
-    ``det``; each block's top and bottom entry and its entry masks ``fwd``
-    and ``rev`` are built once from ``state``, then ``place`` pushes an
-    entry onto all four before a recursive call and ``unplace`` pops it
-    and restores the saved values after it.  ``cross`` tests an adjacent
-    block by one shift of its mask and other blocks entry by entry.
+    ``det``; each block's top and bottom entry, its entry masks ``fwd``
+    and ``rev`` and its ``room`` for more entries are built once from
+    ``state``, then ``place`` pushes an entry onto all of them before a
+    recursive call and ``unplace`` pops it and restores the saved values
+    after it (the (B) move does both inline).  ``cross`` tests an adjacent
+    block by one shift of its mask and other blocks entry by entry.  The
+    constants of the type come from ``_type_tables``.
 
     Returns (found, frontier, nodes, completed): the canonical blocks of
     each class found, the snapshots, the node count, and whether the walk
@@ -266,23 +300,21 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     and no snapshots.
     """
     R = len(lengths)
-    N = FlagType(lengths).dimension
+    N, shifts, pairs, later, earlier, far = _type_tables(lengths)
     total = sum(lengths)
     stop = total if depth is None else min(depth, total)
     det, covered, placed = state or ([()] * R, 0, 0)
     det = [list(block) for block in det]
     found = []
     frontier = []
-    # Entries of block m descend at speed vm[m]; an entry v sits at
-    # position v - t*vm[m] at time t.
-    vm = [-core.velocity(m, R - 1) for m in range(R)]
-    pairs = [(i, j) for i in range(R - 1) for j in range(i + 1, R)]
     # others[b]: (m, m - b, entries) for every block m other than b.
     others = [[(m, m - b, det[m]) for m in range(R) if m != b]
               for b in range(R)]
+    # room[b]: how many entries block b still lacks.
+    room = [lengths[b] - len(det[b]) for b in range(R)]
     # Every placed entry v obeys |v| <= (R-1)(N+1): it meets an entry e
     # of the gauge pair in another block at a time t in [1, N], so
-    # |v - e| = t*|m - b| <= N(R-1), and 0 <= e = vm[.] <= R-1.  A
+    # |v - e| = t*|m - b| <= N(R-1), and a gauge entry is in [0, R-1].  A
     # candidate x reaches a mask only as a (B) target, which meets a
     # placed entry at t0, or after an adjacent block's range check, which
     # puts a crossing time in [t0, N]; either way |x - v| <= N(R-1) for a
@@ -324,6 +356,7 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     def place(b, x):
         saved = top[b], bot[b], fwd[b], rev[b]
         det[b].append(x)
+        room[b] -= 1
         if saved[0] is None:
             top[b] = bot[b] = x
         elif x > saved[0]:
@@ -336,6 +369,7 @@ def _walk(lengths, state, depth, deadline, max_nodes):
 
     def unplace(b, saved):
         det[b].pop()
+        room[b] += 1
         top[b], bot[b], fwd[b], rev[b] = saved
 
     def cross(b, x, t0, acc):
@@ -382,10 +416,9 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         of block s meets exactly when its crossings with the placed
         entries are all integers; None when no x does."""
         r, M = 0, 1
-        for m in range(R):
-            d = abs(m - s)
+        for m, d in far[s]:
             blk = det[m]
-            if d < 2 or not blk:
+            if not blk:
                 continue
             v0 = blk[0] % d
             for v in blk:
@@ -414,8 +447,8 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         if not placed:
             # Gauge-fixing move: the pair realizing time 1 sits at 0.
             for i, j in pairs:
-                saved_i = place(i, t0 * vm[i])
-                saved_j = place(j, t0 * vm[j])
+                saved_i = place(i, shifts[t0][i])
+                saved_j = place(j, shifts[t0][j])
                 dfs(covered | 1 << (t0 - 1), 2)
                 unplace(j, saved_j)
                 unplace(i, saved_i)
@@ -428,32 +461,32 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         # where a new entry of block s != m may sit at t0, since the two
         # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
         # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
-        # top and bottom at t0, top[m] - shifts[m] and bot[m] - shifts[m],
+        # top and bottom at t0, top[m] - shift[m] and bot[m] - shift[m],
         # give the tightest of these bounds; windows holds (s, lo, hi) for
         # each open block whose window is not empty.
         span = N - t0
-        shifts = [t0 * v for v in vm]
+        shift = shifts[t0]
         windows = []
         for b in range(R):
-            if len(det[b]) >= lengths[b]:
+            if not room[b]:
                 continue
             high = low = lo = hi = None
-            for m in range(b + 1, R):
+            for m in later[b]:
                 q = top[m]
                 if q is not None:
-                    q -= shifts[m]
+                    q -= shift[m]
                     if high is None or q > high:
                         high = q
-                    q = bot[m] - shifts[m] + span * (m - b)
+                    q = bot[m] - shift[m] + span * (m - b)
                     if hi is None or q < hi:
                         hi = q
-            for m in range(b):
+            for m in earlier[b]:
                 q = bot[m]
                 if q is not None:
-                    q -= shifts[m]
+                    q -= shift[m]
                     if low is None or q < low:
                         low = q
-                    q = top[m] - shifts[m] - span * (b - m)
+                    q = top[m] - shift[m] - span * (b - m)
                     if lo is None or q > lo:
                         lo = q
             if high is None:
@@ -471,16 +504,32 @@ def _walk(lengths, state, depth, deadline, max_nodes):
                     hi = low - 1
             if lo <= hi:
                 windows.append((b, lo, hi))
-            shift = shifts[b]
+            blk = det[b]
             for q in targets:
-                x = q + shift
+                x = q + shift[b]
                 # x is not yet in block b: it meets a placed entry of
                 # another block at t0, so were it placed, t0 would be covered.
                 acc = cross(b, x, t0, covered)
-                if acc >= 0:
-                    saved = place(b, x)
-                    dfs(acc, placed + 1)
-                    unplace(b, saved)
+                if acc < 0:
+                    continue
+                # place(b, x) and unplace, inlined.
+                saved_top, saved_bot = top[b], bot[b]
+                saved_fwd, saved_rev = fwd[b], rev[b]
+                blk.append(x)
+                room[b] -= 1
+                if saved_top is None:
+                    top[b] = bot[b] = x
+                elif x > saved_top:
+                    top[b] = x
+                elif x < saved_bot:
+                    bot[b] = x
+                fwd[b] = saved_fwd | 1 << (x + OFF)
+                rev[b] = saved_rev | 1 << (OFF - x)
+                dfs(acc, placed + 1)
+                blk.pop()
+                room[b] += 1
+                top[b], bot[b] = saved_top, saved_bot
+                fwd[b], rev[b] = saved_fwd, saved_rev
 
         # A pair's window is the overlap of its blocks' windows.  The
         # crossings of a new entry x of block s with a placed entry v of
@@ -505,7 +554,7 @@ def _walk(lengths, state, depth, deadline, max_nodes):
             ri, rj = residues[i], residues[j]
             if ri is None or rj is None:
                 continue
-            si, sj = shifts[i], shifts[j]
+            si, sj = shift[i], shift[j]
             # x = p + si and y = p + sj: one congruence for p.
             step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
             if step is None:
@@ -548,19 +597,37 @@ def _pool_map(fn, jobs, workers: int):
         yield from pool.imap_unordered(fn, jobs)
 
 
-def _subtree_worker(args):
-    return _walk(*args)
+def _mirror_blocks(blocks):
+    """The canonical blocks of ``core.symmetric`` of canonical ``blocks``."""
+    high = blocks[0][0]
+    return tuple(tuple(high - v for v in reversed(block))
+                 for block in reversed(blocks))
+
+
+def _subtree_worker(job):
+    twin, args = job
+    return twin, _walk(*args)
 
 
 def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
                           workers: int = 1) -> SearchReport:
     """Classify a type with the time-branching engine.
 
-    With workers > 1 the tree is split at a shallow depth and the subtrees
-    are searched by ``_pool_map``.  With any number of workers the report
-    is ``completed`` exactly when the tree has at most ``max_nodes`` nodes
-    and was searched within ``budget_seconds``; it then has the serial node
-    count and classes.
+    With workers > 1 the tree is split at 4 placed entries and the
+    subtrees are searched by ``_pool_map``.  A serial search of a
+    palindromic type is split just below the gauge move, at 2.  Entry
+    R-1-b of block b sits at 0 at time 1, and only the gauge pair (i, j)
+    of a subtree holds one, since time 1 is covered once.  In a palindromic
+    type the subtrees under (i, j) and (R-1-j, R-1-i) are mirror images of
+    one size, so only those with i + j <= R-1 are searched: a subtree with
+    i + j < R-1 is counted twice and its classes are mirrored by
+    ``_mirror_blocks``, and one with i + j = R-1 is its own mirror.
+    ``nodes`` is thus the size of the whole tree.
+
+    With any number of workers the report is ``completed`` exactly when
+    the tree has at most ``max_nodes`` nodes and was searched within
+    ``budget_seconds``; it then has the serial node count and classes.  A
+    search stopped by the cap reports ``max_nodes + 1`` nodes.
     """
     ft = FlagType(ft.lengths)
     if not ft.all_positive:
@@ -570,21 +637,38 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     deadline = (start + limits.budget_seconds
                 if limits.budget_seconds is not None else None)
     cap = limits.max_nodes
-    total = sum(ft.lengths)
-    depth = min(4, total - 1) if workers > 1 and total > 3 else None
-    found, states, nodes, completed = _walk(ft.lengths, None, depth,
-                                            deadline, cap)
+    lengths = ft.lengths
+    R = len(lengths)
+    palindrome = lengths == lengths[::-1]
+    total = sum(lengths)
+    if workers > 1 and total > 3:
+        depth = min(4, total - 1)
+    else:
+        # A serial search is split only to halve a palindrome's tree.
+        depth = 2 if palindrome else None
+    found, states, nodes, completed = _walk(lengths, None, depth, deadline,
+                                            cap)
     # A subtree may take the nodes left under the cap plus its own root.
     sub_cap = None if cap is None else cap - nodes + 1
-    jobs = [(ft.lengths, st, None, deadline, sub_cap) for st in states]
+    jobs = []
+    for state in states:
+        i, j = (b for b in range(R) if R - 1 - b in state[0][b])
+        if not palindrome or i + j <= R - 1:
+            jobs.append((palindrome and i + j < R - 1,
+                         (lengths, state, None, deadline, sub_cap)))
     with contextlib.closing(
             _pool_map(_subtree_worker, jobs, workers)) as results:
-        for sub_found, _, sub_nodes, sub_done in results:
+        for twin, (sub_found, _, sub_nodes, sub_done) in results:
             found.extend(sub_found)
             nodes += sub_nodes - 1
+            if twin:
+                found.extend(map(_mirror_blocks, sub_found))
+                nodes += sub_nodes - 1
             if not sub_done or (cap is not None and nodes > cap):
                 completed = False
                 break
+    if cap is not None and nodes > cap:
+        nodes = cap + 1
     classes = tuple(sorted(
         (core.from_blocks(blocks) for blocks in set(found)),
         key=lambda P: P.entries))

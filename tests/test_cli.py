@@ -106,6 +106,13 @@ class TestFamily:
         assert run(["family", "p_u", "0"]) == 2
         assert "family p_u:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m2", ["-1", "-2"])
+    def test_two_param_rejects_negative(self, capsys, m2):
+        assert run(["family", "two_param", "0", m2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "family two_param: m must be nonnegative" in captured.err
+
     def test_wrong_arity(self, capsys):
         assert run(["family", "p_u"]) == 2
         assert "family p_u:" in capsys.readouterr().err

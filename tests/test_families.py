@@ -140,6 +140,12 @@ class TestTwoParam:
     def test_brute_oracle(self):
         assert brute_is_ulrich(families.two_param(0, 1))
 
+    @pytest.mark.parametrize("m1, m2", [(0, -1), (0, -2), (-1, 0)])
+    def test_rejects_negative(self, m1, m2):
+        # two_param(0, -1) would be 2|1,0|-4, a (1,2,1) class: k2 = 0
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            families.two_param(m1, m2)
+
 
 class TestElongation:
     def test_fundamental_seeds(self):

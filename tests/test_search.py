@@ -217,6 +217,107 @@ class TestSearchTree:
         assert self.walk_digest(types) == digest
 
 
+PALINDROMES = [ft.lengths for blocks in range(2, 7)
+               for total in range(blocks, 13)
+               for ft in search._types_with_blocks(blocks, total)
+               if ft.lengths == ft.lengths[::-1]
+               ] + [(1, 12, 1), (2, 8, 2), (3, 5, 3), (4, 4, 4)]
+
+
+@pytest.fixture(scope="module")
+def full_walks():
+    """{lengths: (classes, nodes, completed)} of the full single walk."""
+    out = {}
+    for lengths in PALINDROMES:
+        found, _, nodes, completed = search._walk(lengths, None, None,
+                                                  None, None)
+        classes = tuple(sorted(map(core.from_blocks, found),
+                               key=lambda P: P.entries))
+        out[lengths] = classes, nodes, completed
+    return out
+
+
+class TestPalindromeHalving:
+    """A palindromic type walks one mirror half of its tree and counts two."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_full_walk(self, full_walks, workers):
+        assert len(PALINDROMES) == 115
+        for lengths in PALINDROMES:
+            report = time_branching_search(FlagType(lengths), workers=workers)
+            assert ((report.classes, report.nodes, report.completed)
+                    == full_walks[lengths]), lengths
+
+    def test_node_cap_is_exact(self):
+        # (2,8,2) has 10,884 nodes: the root, the gauges (0, 1), (0, 2) and
+        # (1, 2) with subtrees of 5,439, 5 and 5,439 nodes.  Node 10,884 of
+        # the full walk lies under (1, 2), which is counted, not walked.
+        ft = FlagType((2, 8, 2))
+        for cap in (10, 5000, 10883):
+            report = time_branching_search(ft, SearchLimits(max_nodes=cap))
+            assert report.completed is False
+            assert report.nodes == cap + 1
+
+    @pytest.mark.parametrize("lengths", [(2, 8, 2), (2, 8, 1)])
+    def test_node_cap_is_exact_with_workers(self, lengths):
+        for cap in (10, 3000):
+            report = time_branching_search(
+                FlagType(lengths), SearchLimits(max_nodes=cap), workers=2)
+            assert (report.nodes, report.completed) == (cap + 1, False)
+
+    def test_cap_passed_by_the_count_of_a_mirror(self, monkeypatch):
+        walks = []
+        walk = search._walk
+
+        def recording(*args):
+            result = walk(*args)
+            walks.append(result[2:])
+            return result
+
+        monkeypatch.setattr(search, "_walk", recording)
+        report = time_branching_search(FlagType((2, 8, 2)),
+                                       SearchLimits(max_nodes=8000))
+        # The prefix and the walk under (0, 1) finish within the cap; the
+        # 5,438 nodes counted for its mirror pass it.
+        assert walks == [(4, True), (5439, True)]
+        assert (report.nodes, report.completed) == (8001, False)
+
+    @pytest.mark.parametrize("lengths", [(2, 4, 2), (1, 2, 2, 1),
+                                         (1, 1, 3, 1, 1), (1,) * 6])
+    def test_mirror_gauges_not_walked(self, monkeypatch, lengths):
+        states = []
+        walk = search._walk
+
+        def recording(lengths, state, *args):
+            states.append(state)
+            return walk(lengths, state, *args)
+
+        monkeypatch.setattr(search, "_walk", recording)
+        time_branching_search(FlagType(lengths))
+        R = len(lengths)
+        assert states[0] is None
+        # The gauge pair (i, j) of a state: the blocks b holding entry R-1-b.
+        gauges = [tuple(b for b in range(R) if R - 1 - b in det[b])
+                  for det, _, _ in states[1:]]
+        assert gauges == sorted(set(gauges))
+        assert all(i + j <= R - 1 for i, j in gauges)
+        assert any(i + j < R - 1 for i, j in gauges)
+        assert len(gauges) < R * (R - 1) // 2
+
+    def test_mirror_blocks_match_symmetric(self):
+        # Every class of total <= 10: types with four or more blocks have
+        # none (the paper's theorem; `ulrich verify multistep 10` holds).
+        count = 0
+        for blocks in (2, 3):
+            for total in range(blocks, 11):
+                for ft in search._types_with_blocks(blocks, total):
+                    for P in time_branching_search(ft).classes:
+                        want = core.canonicalize(core.symmetric(P))
+                        assert search._mirror_blocks(P.blocks) == want.blocks
+                        count += 1
+        assert count == 659
+
+
 class TestCrt:
     """The congruence solver behind the pair move's stepping."""
 
