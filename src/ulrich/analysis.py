@@ -14,37 +14,37 @@ independent of the velocity normalization used for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 
 from . import core
-from .core import BlockedPartition
+from .core import BlockedPartition, Frozen
 
 
-@dataclass(frozen=True)
-class PreUlrichTriple:
+class PreUlrichTriple(Frozen):
     """Entry sets (A|B|C) of a partial three-block partition.
 
     A and C may be empty while the triple is being grown; B is fixed
     throughout.  Entries are stored strictly decreasing per block.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    __slots__ = ("a", "b", "c")
+    _fields = __slots__
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.b:
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...],
+                 c: tuple[int, ...]):
+        a, b, c = tuple(a), tuple(b), tuple(c)
+        if not b:
             raise ValueError("the middle block must be nonempty")
-        for block in (self.a, self.b, self.c):
-            if any(x <= y for x, y in zip(block, block[1:])):
+        for block in (a, b, c):
+            if not all(map(operator.gt, block, block[1:])):
                 raise ValueError("blocks must be strictly decreasing")
-        if self.a and self.a[-1] <= self.b[0]:
+        if a and a[-1] <= b[0]:
             raise ValueError("A entries must exceed all B entries")
-        if self.c and self.b[-1] <= self.c[0]:
+        if c and b[-1] <= c[0]:
             raise ValueError("C entries must lie below all B entries")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def dimension(self) -> int:
@@ -86,21 +86,28 @@ def _first_gap(mask: int) -> int:
     return (~m & (m + 1)).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Frozen):
     """Result of one greedy growth step.
 
     The candidate triple is always constructed; `pre_ulrich` records whether
     it is still consistent, and `clashes` lists any meeting times the new
-    entry double-books (empty when the step is clean).
+    entry double-books (empty when the step is clean), as
+    ``fractions.Fraction``.
     """
 
-    triple: PreUlrichTriple
-    letter: str
-    time: int
-    value: int
-    pre_ulrich: bool
-    clashes: tuple[Fraction, ...]
+    __slots__ = ("triple", "letter", "time", "value", "pre_ulrich",
+                 "clashes")
+    _fields = __slots__
+
+    def __init__(self, triple: PreUlrichTriple, letter: str, time: int,
+                 value: int, pre_ulrich: bool, clashes: tuple[Fraction, ...]):
+        setattr_ = object.__setattr__
+        setattr_(self, "triple", triple)
+        setattr_(self, "letter", letter)
+        setattr_(self, "time", time)
+        setattr_(self, "value", value)
+        setattr_(self, "pre_ulrich", pre_ulrich)
+        setattr_(self, "clashes", clashes)
 
 
 def _extend(T: PreUlrichTriple, letter: str) -> Extension:
@@ -128,6 +135,7 @@ def _extend(T: PreUlrichTriple, letter: str) -> Extension:
     for diff, d in pairs:
         t, rem = divmod(diff, d)
         if rem or mask >> t & 1:
+            from fractions import Fraction
             clashes.add(Fraction(diff, d))
         else:
             mask |= 1 << t
@@ -155,11 +163,14 @@ def add_c(T: PreUlrichTriple) -> Extension:
     return _extend(T, "c")
 
 
-@dataclass(frozen=True)
-class GreedyWord:
+class GreedyWord(Frozen):
     """The a/c growth sequence that reconstructs an Ulrich triple from B."""
 
-    letters: str
+    __slots__ = ("letters",)
+    _fields = __slots__
+
+    def __init__(self, letters: str):
+        object.__setattr__(self, "letters", letters)
 
     def __str__(self) -> str:
         return self.letters

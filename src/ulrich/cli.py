@@ -13,6 +13,7 @@ completion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,10 +56,12 @@ def _witness_text(verdict: core.UlrichVerdict) -> str | None:
 
 
 def _limits(args) -> search.SearchLimits:
-    budget = args.budget_seconds
-    if args.threads < 1 or not (budget is None or budget >= 0):  # NaN fails
-        raise _usage("--threads must be at least 1, --budget-seconds at least 0")
-    return search.SearchLimits(budget_seconds=budget)
+    if args.threads < 1:
+        raise _usage(f"--threads must be at least 1, got {args.threads}")
+    try:
+        return search.SearchLimits(budget_seconds=args.budget_seconds)
+    except ValueError as exc:
+        raise _usage(f"--budget-seconds: {exc}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -300,7 +303,13 @@ def _cmd_geometry(args) -> int:
     return EXIT_OK if holds else EXIT_NEGATIVE
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ulrich`` parser, built once per process.
+
+    Parsing does not change it.  Each subcommand's ``func`` is the
+    ``_cmd_*`` function as it was at this first build.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of text")

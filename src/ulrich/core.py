@@ -10,17 +10,71 @@ The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
 exactly the integers 1..N, each hit once.  ``meeting_mask`` is the one test of
 that; ``is_ulrich`` adds a witness on failure.  Everything in this module is
 exact integer arithmetic, no floats; only that witness time is a rational.
+
+The package's value types derive from ``Frozen``, which gives a
+``__slots__`` class the contract of a frozen dataclass without importing
+``dataclasses`` (and through it ``inspect`` and ``ast``): equality and hash
+on the constructor fields named in ``_fields``, the dataclass ``repr``,
+assignment and deletion refused, and pickling and copying through the
+constructor.  Each class validates in ``__init__`` with ``if``/``raise``, so
+the checks hold under ``python -O``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 
 
-@dataclass(frozen=True)
-class FlagType:
+class Frozen:
+    """Immutable value: equal, hashed and shown by its constructor fields.
+
+    A subclass names its constructor fields, in constructor order, in
+    ``_fields`` and lists them, and any derived values it stores, in
+    ``__slots__`` (``_fields = __slots__`` when it stores nothing else).
+    Its ``__init__`` stores each through
+    ``object.__setattr__``; afterwards ``__setattr__`` and ``__delattr__``
+    raise AttributeError, the base class of dataclasses'
+    FrozenInstanceError.  Derived slots take no part in equality, hash,
+    ``repr`` or pickling.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # One attrgetter per class: the field values as a tuple (a bare
+        # value for one field), read in C.
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self._fields)
+
+
+class FlagType(Frozen):
     """Block-length vector (l_1, ..., l_{r+1}) of a blocked partition.
 
     The partial sums k_i = l_1 + ... + l_i identify the partial flag variety
@@ -28,29 +82,34 @@ class FlagType:
     blocks are tolerated so the degenerate elongation seed with an empty
     middle block is representable; searches and the geometric dictionary only
     ever use all-positive types.
+
+    ``n``, the total number of entries, and ``dimension``, the number of
+    cross-block pairs sum_{i<j} l_i*l_j = (n^2 - sum l_i^2)/2, are computed
+    once, here.
     """
 
-    lengths: tuple[int, ...]
+    __slots__ = ("lengths", "n", "dimension")
+    _fields = ("lengths",)
 
-    def __post_init__(self):
-        lengths = tuple(self.lengths)
-        object.__setattr__(self, "lengths", lengths)
+    def __init__(self, lengths: tuple[int, ...]):
+        lengths = tuple(lengths)
         if len(lengths) < 2:
             raise ValueError("a blocked partition needs at least two blocks")
-        if any(l < 0 for l in lengths):
+        if min(lengths) < 0:
             raise ValueError("block lengths must be nonnegative")
-        if sum(lengths) < 2:
+        n = sum(lengths)
+        if n < 2:
             raise ValueError("a blocked partition needs at least two entries")
+        setattr_ = object.__setattr__
+        setattr_(self, "lengths", lengths)
+        setattr_(self, "n", n)
+        setattr_(self, "dimension",
+                 (n * n - sum([l * l for l in lengths])) // 2)
 
     @property
     def r(self) -> int:
         """Number of steps in the flag; one less than the number of blocks."""
         return len(self.lengths) - 1
-
-    @property
-    def n(self) -> int:
-        """Total number of entries."""
-        return sum(self.lengths)
 
     @property
     def k(self) -> tuple[int, ...]:
@@ -62,15 +121,6 @@ class FlagType:
         return tuple(sums)
 
     @property
-    def dimension(self) -> int:
-        """Number of cross-block pairs, sum of l_i*l_j over i < j."""
-        total = 0
-        for i, li in enumerate(self.lengths):
-            for lj in self.lengths[i + 1:]:
-                total += li * lj
-        return total
-
-    @property
     def all_positive(self) -> bool:
         return all(l >= 1 for l in self.lengths)
 
@@ -78,22 +128,22 @@ class FlagType:
         return FlagType(self.lengths[::-1])
 
 
-@dataclass(frozen=True)
-class BlockedPartition:
+class BlockedPartition(Frozen):
     """Strictly decreasing integer entries carved into the blocks of `type`."""
 
-    type: FlagType
-    entries: tuple[int, ...]
+    __slots__ = ("type", "entries")
+    _fields = __slots__
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.type.n:
+    def __init__(self, type: FlagType, entries: tuple[int, ...]):
+        entries = tuple(entries)
+        if len(entries) != type.n:
             raise ValueError(
-                f"expected {self.type.n} entries for type {self.type.lengths}, "
+                f"expected {type.n} entries for type {type.lengths}, "
                 f"got {len(entries)}")
-        if any(a <= b for a, b in zip(entries, entries[1:])):
+        if not all(map(operator.gt, entries, entries[1:])):
             raise ValueError(f"entries must be strictly decreasing: {entries}")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -137,21 +187,32 @@ def parse_partition(text: str) -> BlockedPartition:
     return from_blocks(blocks)
 
 
+@functools.lru_cache(maxsize=256)
+def _template(lengths: tuple[int, ...]) -> str:
+    """The ``str.format`` template of a type's wire format, e.g. "{},{}|{}"."""
+    return "|".join(",".join(["{}"] * l) for l in lengths)
+
+
 def format_partition(P: BlockedPartition) -> str:
-    """Inverse of parse_partition."""
-    return "|".join(",".join(map(str, block)) for block in P.blocks)
+    """Inverse of parse_partition; an empty block is written as nothing."""
+    return _template(P.type.lengths).format(*P.entries)
 
 
-@dataclass(frozen=True)
-class UlrichVerdict:
+class UlrichVerdict(Frozen):
     """Outcome of the Ulrich test, with a witness for failures.
 
     The witness is None on success, otherwise a pair (kind, time) where kind
-    is one of "non-integral-time", "duplicate-time", "missing-time".
+    is one of "non-integral-time", "duplicate-time", "missing-time", and
+    time is a ``fractions.Fraction``.
     """
 
-    is_ulrich: bool
-    witness: tuple[str, Fraction] | None
+    __slots__ = ("is_ulrich", "witness")
+    _fields = __slots__
+
+    def __init__(self, is_ulrich: bool,
+                 witness: tuple[str, Fraction] | None):
+        object.__setattr__(self, "is_ulrich", is_ulrich)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.is_ulrich
@@ -206,6 +267,7 @@ def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
     if meeting_mask(blocks, N) >= 0:
         return UlrichVerdict(True, None)
     # Failures only: sort the times (x - y)/d as the integers (x - y)*(L/d).
+    from fractions import Fraction
     L = math.lcm(*range(1, len(blocks)))
     times = sorted((x - y) * (L // (j - i))
                    for i, bi in enumerate(blocks)

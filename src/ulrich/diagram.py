@@ -13,19 +13,26 @@ position span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core
-from .core import BlockedPartition
+from .core import BlockedPartition, Frozen
 
 
-@dataclass(frozen=True)
-class EvolutionTable:
-    """Positions of every entry at times 0..N+1 under display velocities."""
+class EvolutionTable(Frozen):
+    """Positions of every entry at times 0..N+1 under display velocities.
 
-    partition: BlockedPartition
-    velocities: tuple[int, ...]       # one per entry, drift applied
-    rows: tuple[tuple[int, ...], ...]  # rows[t][i] = position of entry i
+    ``velocities`` has one per entry, drift applied; ``rows[t][i]`` is the
+    position of entry i at time t.
+    """
+
+    __slots__ = ("partition", "velocities", "rows")
+    _fields = __slots__
+
+    def __init__(self, partition: BlockedPartition,
+                 velocities: tuple[int, ...],
+                 rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "velocities", velocities)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def times(self) -> range:

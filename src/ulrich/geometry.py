@@ -23,10 +23,10 @@ a remainder; no rational arithmetic is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from . import core
-from .core import BlockedPartition, FlagType
+from .core import BlockedPartition, FlagType, Frozen
 
 
 def rho(n: int) -> tuple[int, ...]:
@@ -34,21 +34,21 @@ def rho(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class SchurWeight:
+class SchurWeight(Frozen):
     """A blockwise-dominant integral weight: weakly decreasing in each block."""
 
-    type: FlagType
-    entries: tuple[int, ...]
+    __slots__ = ("type", "entries")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.type.n:
+    def __init__(self, type: FlagType, entries: tuple[int, ...]):
+        entries = tuple(entries)
+        if len(entries) != type.n:
             raise ValueError(
-                f"type {self.type} needs {self.type.n} entries, "
-                f"got {len(self.entries)}")
+                f"type {type} needs {type.n} entries, got {len(entries)}")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "entries", entries)
         for block in self.blocks:
-            if any(x < y for x, y in zip(block, block[1:])):
+            if not all(map(operator.ge, block, block[1:])):
                 raise ValueError(
                     "weight entries must be weakly decreasing within blocks")
 
@@ -154,8 +154,7 @@ def twist(w: SchurWeight, t: int) -> SchurWeight:
     return SchurWeight(w.type, tuple(entries))
 
 
-@dataclass(frozen=True)
-class CohomologyAnswer:
+class CohomologyAnswer(Frozen):
     """Cohomology of one twist: at most one nonzero group, by Bott.
 
     ``degree`` is None exactly when all cohomology vanishes (dimension 0);
@@ -163,9 +162,14 @@ class CohomologyAnswer:
     dimension.
     """
 
-    degree: int | None
-    dimension: int
-    weight: tuple[int, ...] | None
+    __slots__ = ("degree", "dimension", "weight")
+    _fields = __slots__
+
+    def __init__(self, degree: int | None, dimension: int,
+                 weight: tuple[int, ...] | None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def vanishes(self) -> bool:
@@ -229,8 +233,7 @@ def flag_dimension(ft: FlagType) -> int:
     return pairs
 
 
-@dataclass(frozen=True)
-class PolarizationWeights:
+class PolarizationWeights(Frozen):
     """Ample class sum(a_i * omega_{k_i}) on a flag variety with r steps.
 
     ``a`` lists one positive coefficient per step; ``block_levels`` converts
@@ -238,12 +241,14 @@ class PolarizationWeights:
     block 0).
     """
 
-    a: tuple[int, ...]
+    __slots__ = ("a",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if not self.a or any(x < 1 for x in self.a):
+    def __init__(self, a: tuple[int, ...]):
+        a = tuple(a)
+        if not a or any(x < 1 for x in a):
             raise ValueError("polarization coefficients must be >= 1")
+        object.__setattr__(self, "a", a)
 
     def block_levels(self) -> tuple[int, ...]:
         levels, acc = [0], 0

@@ -65,7 +65,8 @@ whole search.  Every walk, serial, split prefix or subtree, reads the clock
 at its first node and then every 1024 nodes, and nowhere else; so a spent
 budget stops each walk at its root, and a split search stops at the first
 subtree a limit stopped.  A sweep gives these limits to each type.
-``_pool_map`` is the one process pool.
+``_pool_map`` is the one process pool; it imports ``multiprocessing`` when
+it starts a pool, not when this module is imported.
 
 Sweeps.  ``verify_no_multistep`` and ``verify_conjecture_sweep`` classify
 many types through ``_run_type_sweep``, which checkpoints each report as a
@@ -92,26 +93,44 @@ import functools
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import core
-from .core import BlockedPartition, FlagType
+from .core import BlockedPartition, FlagType, Frozen
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Resource caps for a search; None means unlimited."""
+class SearchLimits(Frozen):
+    """Resource caps for a search; None means unlimited.
 
-    budget_seconds: float | None = None
-    max_nodes: int | None = None
+    ``budget_seconds`` is a real number of seconds >= 0 (not NaN) and
+    ``max_nodes`` an int >= 0; anything else raises ValueError here, before
+    a search could misread it.
+    """
+
+    __slots__ = ("budget_seconds", "max_nodes")
+    _fields = __slots__
+
+    def __init__(self, budget_seconds: float | None = None,
+                 max_nodes: int | None = None):
+        if budget_seconds is not None:
+            import numbers
+            # NaN >= 0 is False, so NaN fails too.
+            if not (isinstance(budget_seconds, numbers.Real)
+                    and budget_seconds >= 0):
+                raise ValueError("budget_seconds must be at least 0 or None, "
+                                 f"got {budget_seconds!r}")
+        if max_nodes is not None and not (
+                isinstance(max_nodes, int) and not isinstance(max_nodes, bool)
+                and max_nodes >= 0):
+            raise ValueError("max_nodes must be at least 0 (an int) or None, "
+                             f"got {max_nodes!r}")
+        object.__setattr__(self, "budget_seconds", budget_seconds)
+        object.__setattr__(self, "max_nodes", max_nodes)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Frozen):
     """Outcome of one type search.
 
     ``completed`` is False when a resource limit stopped the search early, in
@@ -130,12 +149,20 @@ class SearchReport:
     the report inherits the source's ``nodes`` and ``completed`` flag.
     """
 
-    type: FlagType
-    classes: tuple[BlockedPartition, ...]
-    nodes: int
-    elapsed: float
-    completed: bool
-    mirror_of: tuple[int, ...] | None = None
+    __slots__ = ("type", "classes", "nodes", "elapsed", "completed",
+                 "mirror_of")
+    _fields = __slots__
+
+    def __init__(self, type: FlagType, classes: tuple[BlockedPartition, ...],
+                 nodes: int, elapsed: float, completed: bool,
+                 mirror_of: tuple[int, ...] | None = None):
+        setattr_ = object.__setattr__
+        setattr_(self, "type", type)
+        setattr_(self, "classes", classes)
+        setattr_(self, "nodes", nodes)
+        setattr_(self, "elapsed", elapsed)
+        setattr_(self, "completed", completed)
+        setattr_(self, "mirror_of", mirror_of)
 
     @property
     def count(self) -> int:
@@ -588,10 +615,13 @@ def _pool_map(fn, jobs, workers: int):
     With one worker, or fewer than two jobs, the jobs run here in order.
     Otherwise one fork pool (Linux) of min(workers, len(jobs)) processes
     runs them, and closing the generator terminates the pool.
+    ``multiprocessing`` is imported only here, when a pool is started, so
+    a serial search or a CLI start does not load it.
     """
     if workers <= 1 or len(jobs) < 2:
         yield from map(fn, jobs)
         return
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(workers, len(jobs))) as pool:
         yield from pool.imap_unordered(fn, jobs)
@@ -669,11 +699,12 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
                 break
     if cap is not None and nodes > cap:
         nodes = cap + 1
-    classes = tuple(sorted(
-        (core.from_blocks(blocks) for blocks in set(found)),
-        key=lambda P: P.entries))
-    if len(classes) != len(found):
+    # Within one type, block tuples sort as their flattened entries do.
+    unique = sorted(set(found))
+    if len(unique) != len(found):
         raise RuntimeError(f"a class of {ft.lengths} was generated twice")
+    classes = tuple([BlockedPartition(ft, sum(blocks, ()))
+                     for blocks in unique])
     return SearchReport(ft, classes, nodes, time.monotonic() - start,
                         completed)
 

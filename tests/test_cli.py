@@ -428,6 +428,18 @@ class TestParser:
         assert run(argv) == 2
         assert "must be at least" in capsys.readouterr().err
 
+    def test_parser_built_once_and_reused(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run(["check", "5|3,-1,-2,-4|-5", "--json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert run(["enumerate", "1,2,1", "--json"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (first["command"], first["ulrich"]) == ("check", True)
+        assert (second["command"], second["count"]) == ("enumerate", 4)
+        # --json of an earlier call does not stick to the next one.
+        assert run(["check", "5|3,-1|-5"]) == 1
+        assert capsys.readouterr().out == "NOT-ULRICH: missing-time 1\n"
+
     def test_console_script_entry(self):
         # the console script declared in pyproject.toml resolves to cli.main
         scripts = declared_scripts()

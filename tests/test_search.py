@@ -436,6 +436,31 @@ class TestLimits:
         assert report.completed
         assert report.count == 2
 
+    # A limit the search would misread is refused where it is made: a NaN
+    # budget never trips, a negative cap reported 0 nodes, and a float cap
+    # reported a float node count that a sweep's own checkpoint rejected.
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5, "1", 1j])
+    def test_bad_budget_refused(self, budget):
+        with pytest.raises(ValueError, match="budget_seconds must be at least"):
+            SearchLimits(budget_seconds=budget)
+
+    @pytest.mark.parametrize("cap", [-1, 2.5, 3.0, True, "10"])
+    def test_bad_node_cap_refused(self, cap):
+        with pytest.raises(ValueError, match="max_nodes must be at least"):
+            SearchLimits(max_nodes=cap)
+
+    def test_float_cap_refused_before_a_sweep(self):
+        with pytest.raises(ValueError, match="max_nodes"):
+            verify_no_multistep(5, SearchLimits(max_nodes=2.5))
+
+    def test_edge_limits_accepted(self):
+        assert SearchLimits(budget_seconds=0, max_nodes=0).max_nodes == 0
+        assert SearchLimits(budget_seconds=float("inf")).budget_seconds > 0
+        report = time_branching_search(FlagType((2, 2, 2)),
+                                       SearchLimits(max_nodes=0))
+        assert (report.completed, report.nodes) == (False, 1)
+
 
 class TestReportSerialization:
     def test_roundtrip(self):
