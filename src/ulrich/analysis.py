@@ -3,10 +3,10 @@
 Three-block partitions (A|B|C) admit a greedy reconstruction: an Ulrich
 partition is grown from its middle block by repeatedly adding the entry that
 realizes the smallest still-uncovered meeting time, and the added value is
-forced (Extension rules below).  This module implements the growth steps, the
-greedy word of an Ulrich partition, the sumset reformulation for singleton
-middle blocks, and two boundary rules (trapezoid, rectangle) that relate a
-partition to its dual.
+forced (Extension rules below).  This module implements the growth step
+(``extend``), the greedy word of an Ulrich partition, the sumset
+reformulation for singleton middle blocks, and two boundary rules
+(trapezoid, rectangle) that relate a partition to its dual.
 
 All formulas are phrased directly on entry values, which makes them
 independent of the velocity normalization used for display.
@@ -46,12 +46,6 @@ class PreUlrichTriple(Frozen):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    @property
-    def dimension(self) -> int:
-        """Number of cross-block pairs of the completed triple."""
-        na, nb, nc = len(self.a), len(self.b), len(self.c)
-        return na * nb + na * nc + nb * nc
-
     def as_partition(self) -> BlockedPartition:
         return core.from_blocks((self.a, self.b, self.c))
 
@@ -75,11 +69,6 @@ def _parity_ok(T: PreUlrichTriple) -> bool:
     return all((x - outer[0]) % 2 == 0 for x in outer)
 
 
-def is_pre_ulrich(T: PreUlrichTriple) -> bool:
-    """Same parity across A and C, and no two pairs meet at the same time."""
-    return _parity_ok(T) and _mask(T) >= 0
-
-
 def _first_gap(mask: int) -> int:
     """The smallest time t >= 1 whose bit is clear in a covered-time mask."""
     m = mask | 1
@@ -95,22 +84,26 @@ class Extension(Frozen):
     ``fractions.Fraction``.
     """
 
-    __slots__ = ("triple", "letter", "time", "value", "pre_ulrich",
-                 "clashes")
+    __slots__ = ("triple", "time", "value", "pre_ulrich", "clashes")
     _fields = __slots__
 
-    def __init__(self, triple: PreUlrichTriple, letter: str, time: int,
-                 value: int, pre_ulrich: bool, clashes: tuple[Fraction, ...]):
+    def __init__(self, triple: PreUlrichTriple, time: int, value: int,
+                 pre_ulrich: bool, clashes: tuple[Fraction, ...]):
         setattr_ = object.__setattr__
         setattr_(self, "triple", triple)
-        setattr_(self, "letter", letter)
         setattr_(self, "time", time)
         setattr_(self, "value", value)
         setattr_(self, "pre_ulrich", pre_ulrich)
         setattr_(self, "clashes", clashes)
 
 
-def _extend(T: PreUlrichTriple, letter: str) -> Extension:
+def extend(T: PreUlrichTriple, letter: str) -> Extension:
+    """Add the forced entry of block A (letter "a") or C (letter "c").
+
+    The new entry meets the triple at its first uncovered time.  Raises
+    ValueError when two pairs of T meet at the same time or a pair meets
+    at a fractional time: T has no first uncovered time then.
+    """
     mask = _mask(T)
     if mask < 0:
         raise ValueError("triple has a fractional or repeated meeting time")
@@ -141,26 +134,9 @@ def _extend(T: PreUlrichTriple, letter: str) -> Extension:
             mask |= 1 << t
     # T's times are distinct integers, so the candidate's are unless a new
     # pair clashed.
-    return Extension(candidate, letter, t0, value,
+    return Extension(candidate, t0, value,
                      not clashes and _parity_ok(candidate),
                      tuple(sorted(clashes)))
-
-
-def add_a(T: PreUlrichTriple) -> Extension:
-    """Add the forced A entry meeting the triple at its first uncovered time.
-
-    Raises ValueError when two pairs of T meet at the same time or a pair
-    meets at a fractional time: T has no first uncovered time then.
-    """
-    return _extend(T, "a")
-
-
-def add_c(T: PreUlrichTriple) -> Extension:
-    """Add the forced C entry meeting the triple at its first uncovered time.
-
-    Raises ValueError on the same triples as add_a.
-    """
-    return _extend(T, "c")
 
 
 class GreedyWord(Frozen):
@@ -206,7 +182,7 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
         else:
             raise AssertionError(
                 f"collision at t={t0} involves two unplaced outer entries")
-        step = add_a(sub) if letter == "a" else add_c(sub)
+        step = extend(sub, letter)
         expected = x if letter == "a" else y
         if step.value != expected or not step.pre_ulrich:
             raise AssertionError(
@@ -225,7 +201,7 @@ def replay(word: str, middle) -> PreUlrichTriple:
     """
     T = PreUlrichTriple((), tuple(middle), ())
     for pos, letter in enumerate(word):
-        step = _extend(T, letter)
+        step = extend(T, letter)
         if not step.pre_ulrich:
             why = (f"double-books times {step.clashes}" if step.clashes
                    else "breaks the outer parity invariant")

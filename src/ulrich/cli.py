@@ -100,8 +100,8 @@ def _cmd_diagram(args) -> int:
             "velocities": list(table.velocities),
             "rows": [list(row) for row in table.rows],
             "coincidences": {
-                str(t): [list(g) for g in table.coincidences(t)]
-                for t in table.times if table.coincidences(t)},
+                str(t): [list(g) for g in groups]
+                for t in table.times if (groups := table.coincidences(t))},
         }
         print(json.dumps(payload))
     elif args.svg is None:
@@ -188,8 +188,8 @@ def _cmd_analyze(args) -> int:
              f"type: {','.join(map(str, P.type.lengths))}  N: {P.dimension}",
              "verdict: ULRICH" if verdict else f"verdict: NOT-ULRICH ({witness})",
              f"congruences: {'ok' if payload['congruences_ok'] else 'VIOLATED'}"]
-    lines.append(f"symmetric: {core.format_partition(core.symmetric(P))}")
     payload["symmetric"] = core.format_partition(core.symmetric(P))
+    lines.append(f"symmetric: {payload['symmetric']}")
     if verdict:
         D = core.dual(P)
         payload["dual"] = core.format_partition(D)

@@ -95,6 +95,9 @@ class FlagType(Frozen):
         lengths = tuple(lengths)
         if len(lengths) < 2:
             raise ValueError("a blocked partition needs at least two blocks")
+        # bool is an int subclass; type() refuses it with the floats.
+        if not all(type(l) is int for l in lengths):
+            raise ValueError(f"block lengths must be ints, got {lengths!r}")
         if min(lengths) < 0:
             raise ValueError("block lengths must be nonnegative")
         n = sum(lengths)

@@ -45,9 +45,6 @@ class EvolutionTable(Frozen):
             where.setdefault(p, []).append(i)
         return tuple(tuple(g) for _, g in sorted(where.items()) if len(g) > 1)
 
-    def coincident_pair_count(self, t: int) -> int:
-        return sum(len(g) * (len(g) - 1) // 2 for g in self.coincidences(t))
-
 
 def evolution_table(P: BlockedPartition) -> EvolutionTable:
     """Tabulate positions for t = 0..N+1.

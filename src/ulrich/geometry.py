@@ -8,7 +8,7 @@ velocity from each entry, exactly as partition evolution does.
 
 Bott's algorithm computes the cohomology of each twist: the weight
 v = lambda(t) + rho = P(t) either has a repeated entry (all cohomology
-vanishes) or sorts to a dominant weight by a permutation with q inversions
+is zero) or sorts to a dominant weight by a permutation with q inversions
 (one cohomology group, in degree q, of known Schur dimension).  The partition
 is Ulrich exactly when all twists t = 1..N vanish, which is the geometric
 reading of the collision-time criterion.
@@ -157,7 +157,7 @@ def twist(w: SchurWeight, t: int) -> SchurWeight:
 class CohomologyAnswer(Frozen):
     """Cohomology of one twist: at most one nonzero group, by Bott.
 
-    ``degree`` is None exactly when all cohomology vanishes (dimension 0);
+    ``degree`` is None exactly when all cohomology is zero (dimension 0);
     otherwise H^degree is the Schur module of ``weight`` with the given
     dimension.
     """
@@ -170,10 +170,6 @@ class CohomologyAnswer(Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "weight", weight)
-
-    @property
-    def vanishes(self) -> bool:
-        return self.dimension == 0
 
 
 def bwb_cohomology(w: SchurWeight, t: int = 0) -> CohomologyAnswer:
@@ -188,14 +184,6 @@ def bwb_cohomology(w: SchurWeight, t: int = 0) -> CohomologyAnswer:
     if dim != schur_dim_weyl(mu, n):
         raise RuntimeError("hook-content vs Weyl mismatch")
     return CohomologyAnswer(q, dim, mu)
-
-
-def euler_characteristic(w: SchurWeight, t: int = 0) -> int:
-    """chi of the time-t twist: 0 or (-1)^q times the surviving dimension."""
-    answer = bwb_cohomology(w, t)
-    if answer.vanishes:
-        return 0
-    return (-1) ** (answer.degree % 2) * answer.dimension
 
 
 def is_ulrich_via_bwb(P: BlockedPartition) -> bool:

@@ -69,15 +69,17 @@ subtree a limit stopped.  A sweep gives these limits to each type.
 it starts a pool, not when this module is imported.
 
 Sweeps.  ``verify_no_multistep`` and ``verify_conjecture_sweep`` classify
-many types through ``_run_type_sweep``, which checkpoints each report as a
-JSONL line.  ``core.symmetric`` (negate, then reverse) maps the classes of
-a type one to one onto those of the reversed type, and the two search
-trees are isomorphic: meeting times are unchanged when positions are
-negated and velocities reversed, and the gauge pairs, the (B) targets and
-the (D) windows map onto each other.  So a sweep searches one orientation
-of each mirror pair it is asked for and derives the other
-(``_mirror_report``): the mirrored classes, the source's node count and
-``completed`` flag, no elapsed time, and ``mirror_of`` naming the source.
+many types through ``_run_type_sweep``, which keeps each ``SearchReport``
+and writes it to the checkpoint as one JSONL line (``report_to_dict``);
+only a resume reads lines back.  ``core.symmetric`` (negate, then reverse)
+maps the classes of a type one to one onto those of the reversed type, and
+the two search trees are isomorphic: meeting times are unchanged when
+positions are negated and velocities reversed, and the gauge pairs, the
+(B) targets and the (D) windows map onto each other.  So a sweep searches
+one orientation of each mirror pair it is asked for and derives the other
+(``_mirror_report``): the classes mirrored by ``_mirror_blocks``, the
+source's node count and ``completed`` flag, no elapsed time, and
+``mirror_of`` naming the source.
 Types whose reverse is not requested are searched.  A palindromic type is
 its own mirror, and the same isomorphism maps the subtree under its gauge
 pair (i, j) onto the one under (R-1-j, R-1-i): ``time_branching_search``
@@ -205,10 +207,14 @@ def report_from_dict(data: dict) -> SearchReport:
         return value
 
     mirror_of = data.get("mirror_of")
+    ft = FlagType(tuple(field("type", list, int)))
+    classes = tuple(core.parse_partition(s)
+                    for s in field("classes", list, str))
+    if any(P.type != ft for P in classes):
+        raise ValueError("report field 'classes' holds a partition of "
+                         "another type")
     return SearchReport(
-        FlagType(tuple(field("type", list, int))),
-        tuple(core.parse_partition(s) for s in field("classes", list, str)),
-        field("nodes", int), field("elapsed", (int, float)),
+        ft, classes, field("nodes", int), field("elapsed", (int, float)),
         field("completed", bool),
         None if mirror_of is None else tuple(field("mirror_of", list, int)))
 
@@ -628,7 +634,7 @@ def _pool_map(fn, jobs, workers: int):
 
 
 def _mirror_blocks(blocks):
-    """The canonical blocks of ``core.symmetric`` of canonical ``blocks``."""
+    """The canonical blocks of ``core.symmetric`` of ``blocks``."""
     high = blocks[0][0]
     return tuple(tuple(high - v for v in reversed(block))
                  for block in reversed(blocks))
@@ -723,8 +729,7 @@ def _types_with_blocks(num_blocks: int, total: int):
 def _search_type_worker(args):
     lengths, budget_seconds, max_nodes = args
     limits = SearchLimits(budget_seconds=budget_seconds, max_nodes=max_nodes)
-    report = time_branching_search(FlagType(lengths), limits, workers=1)
-    return report_to_dict(report)
+    return time_branching_search(FlagType(lengths), limits, workers=1)
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
@@ -759,12 +764,15 @@ def _mirror_report(source: SearchReport) -> SearchReport:
 
     ``core.symmetric`` maps the classes of a type one to one onto those of
     the reversed type, and the two search trees are isomorphic, so the
-    node count and the ``completed`` flag carry over.
+    node count and the ``completed`` flag carry over.  The classes are
+    mirrored by ``_mirror_blocks``.
     """
-    classes = sorted((core.canonicalize(core.symmetric(P))
-                      for P in source.classes), key=lambda P: P.entries)
-    return SearchReport(source.type.reversed(), tuple(classes), source.nodes,
-                        0.0, source.completed, source.type.lengths)
+    ft = source.type.reversed()
+    mirrored = sorted(_mirror_blocks(P.blocks) for P in source.classes)
+    classes = tuple([BlockedPartition(ft, sum(blocks, ()))
+                     for blocks in mirrored])
+    return SearchReport(ft, classes, source.nodes, 0.0, source.completed,
+                        source.type.lengths)
 
 
 def _run_type_sweep(types, limits: SearchLimits, workers: int,
@@ -796,17 +804,17 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
             for lengths in pending if lengths not in derived]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
 
-    def keep(data):
-        done[tuple(data["type"])] = report_from_dict(data)
+    def keep(report):
+        done[report.type.lengths] = report
         if sink:
-            sink.write(json.dumps(data) + "\n")
+            sink.write(json.dumps(report_to_dict(report)) + "\n")
             sink.flush()
 
     try:
-        for data in _pool_map(_search_type_worker, jobs, workers):
-            keep(data)
-        for lengths, mirror in derived.items():
-            keep(report_to_dict(_mirror_report(done[mirror])))
+        for report in _pool_map(_search_type_worker, jobs, workers):
+            keep(report)
+        for mirror in derived.values():
+            keep(_mirror_report(done[mirror]))
     finally:
         if sink:
             sink.close()

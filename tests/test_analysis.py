@@ -22,13 +22,19 @@ class TestTriples:
             PreUlrichTriple((), (1,), (2,))
 
     def test_meeting_times_and_dimension(self):
+        # B = (3, 0) grows cleanly by "ac" into a triple of 5 cross pairs.
         T = PreUlrichTriple((4,), (3, 0), (-2,))
-        assert T.dimension == 5
-        assert analysis.is_pre_ulrich(T)
+        assert analysis.replay("ac", (3, 0)) == T
+        assert T.as_partition().dimension == 5
+        assert analysis.extend(T, "a").time == 6
 
     def test_parity_breaks_pre_ulrich(self):
-        # A and C entries of different parity meet B at a half-integer time.
-        assert not analysis.is_pre_ulrich(PreUlrichTriple((4,), (0,), (-3,)))
+        # A and C entries of different parity meet at a half-integer time,
+        # so the triple has no first uncovered time to grow at.
+        T = PreUlrichTriple((4,), (0,), (-3,))
+        for letter in "ac":
+            with pytest.raises(ValueError, match="fractional"):
+                analysis.extend(T, letter)
 
     def test_triple_of(self):
         P = core.parse_partition("8,6|5,0|-2")
@@ -42,8 +48,8 @@ class TestTriples:
 class TestGrowthSteps:
     def test_add_a_first_step(self):
         T = PreUlrichTriple((), (5, 0), ())
-        step = analysis.add_a(T)
-        assert (step.letter, step.time, step.value) == ("a", 1, 6)
+        step = analysis.extend(T, "a")
+        assert (step.time, step.value) == (1, 6)
         assert step.pre_ulrich and step.clashes == ()
         assert step.triple.a == (6,)
 
@@ -51,7 +57,7 @@ class TestGrowthSteps:
         # At time t0 the new c entry must sit t0 below b (speed 1) or 2*t0
         # below a (speed 2), whichever is lower.
         T = PreUlrichTriple((6,), (5, 0), ())
-        step = analysis.add_c(T)
+        step = analysis.extend(T, "c")
         assert step.time == 2
         assert step.value == min(6 - 4, 5 - 2, 0 - 2) == -2
 
@@ -59,7 +65,7 @@ class TestGrowthSteps:
         # After growing one a over B = (2, 0), the forced c entry would meet
         # the a entry at the half-integral time 5/2.
         T = analysis.replay("a", (2, 0))
-        step = analysis.add_c(T)
+        step = analysis.extend(T, "c")
         assert not step.pre_ulrich
         assert Fraction(5, 2) in step.clashes
 
@@ -67,7 +73,7 @@ class TestGrowthSteps:
         # A second a entry lands at the wrong parity: no time clash, but the
         # triple stops being pre-Ulrich.
         T = analysis.replay("a", (0,))
-        step = analysis.add_a(T)
+        step = analysis.extend(T, "a")
         assert not step.pre_ulrich and step.clashes == ()
 
     def test_replay_word_reconstructs_known(self):
@@ -92,10 +98,9 @@ class TestGrowthSteps:
         # a - b, (a - c)/2 and b - c all equal 2: integral but repeated, so
         # the triple has no first uncovered time, as with a fractional time.
         T = PreUlrichTriple((4,), (2,), (0,))
-        assert not analysis.is_pre_ulrich(T)
-        for step in (analysis.add_a, analysis.add_c):
+        for letter in "ac":
             with pytest.raises(ValueError, match="repeated"):
-                step(T)
+                analysis.extend(T, letter)
 
     @given(helpers.triples())
     @example(PreUlrichTriple((3,), (0,), (-2,)))      # fractional time 5/2
@@ -104,15 +109,14 @@ class TestGrowthSteps:
     @example(PreUlrichTriple((2,), (0,), ()))         # grows into a clash
     @settings(max_examples=400)
     def test_growth_matches_reference(self, T):
-        assert analysis.is_pre_ulrich(T) == helpers.reference_pre_ulrich(T)
-        for letter, step in (("a", analysis.add_a), ("c", analysis.add_c)):
+        for letter in "ac":
             try:
                 want = helpers.reference_extension(T, letter)
             except ValueError:
                 with pytest.raises(ValueError):
-                    step(T)
+                    analysis.extend(T, letter)
                 continue
-            got = step(T)
+            got = analysis.extend(T, letter)
             assert (got.time, got.value, got.pre_ulrich, got.clashes,
                     got.triple) == want
 

@@ -281,7 +281,10 @@ class TestVerify:
         ({"schema": 1, "type": [1, 1, 1, 1]}, "classes"),
         ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
           "nodes": "many", "elapsed": 0.0, "completed": True}, "nodes"),
-    ], ids=["missing", "mistyped"])
+        # A class must have the report's type: a sweep mirrors it blockwise.
+        ({"schema": 1, "type": [2, 1, 1], "classes": ["|2|1,0"], "count": 1,
+          "nodes": 1, "elapsed": 0.0, "completed": True}, "classes"),
+    ], ids=["missing", "mistyped", "class-of-another-type"])
     def test_bad_checkpoint_record(self, record, field, tmp_path, capsys):
         path = tmp_path / "ck.jsonl"
         path.write_text("\n" + json.dumps(record) + "\n")

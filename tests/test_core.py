@@ -34,6 +34,15 @@ class TestFlagType:
         with pytest.raises(ValueError):
             FlagType((1, 0))
 
+    @pytest.mark.parametrize("lengths", [
+        (1.5, 0.5), (1.0, 1.0), (2, 2.0, 1), (True, 1), (1, False, 2),
+        ("1", "1"), (None, 2)])
+    def test_rejects_lengths_that_are_not_ints(self, lengths):
+        # (1.5, 0.5) used to build with dimension 0.0, and a partition of
+        # type (1.0, 1.0) built but failed when formatted.
+        with pytest.raises(ValueError, match="must be ints"):
+            FlagType(lengths)
+
 
 class TestBlockedPartition:
     def test_blocks_and_dimension(self):

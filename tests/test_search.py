@@ -638,6 +638,26 @@ class TestMirrorDerivation:
         assert ({k: report_to_dict(r) for k, r in resumed.items()}
                 == {k: report_to_dict(r) for k, r in fresh.items()})
 
+    def test_resumed_reports_equal_fresh(self, tmp_path, monkeypatch):
+        # A palindrome and a mirror pair, all with classes: the reports kept
+        # in memory, searched or derived, match those read back from the
+        # checkpoint in every serialized field.
+        path = str(tmp_path / "sweep.jsonl")
+        types = [FlagType(t) for t in ((1, 2, 1), (1, 2, 2), (2, 2, 1))]
+        fresh = search._run_type_sweep(types, SearchLimits(), 1, path)
+        assert fresh[(1, 2, 2)].mirror_of == (2, 2, 1)
+        assert all(report.count for report in fresh.values())
+        searched = _count_searches(monkeypatch)
+        resumed = search._run_type_sweep(types, SearchLimits(), 1, path)
+        assert searched == []
+        for lengths, report in fresh.items():
+            want = report_to_dict(report)
+            got = report_to_dict(resumed[lengths])
+            assert list(got) == list(want)
+            for key, value in want.items():
+                assert got[key] == value, (lengths, key)
+            assert resumed[lengths].classes == report.classes
+
     def test_stopped_source_redoes_both(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
         stopped = verify_conjecture_sweep(

@@ -38,7 +38,7 @@ SAMPLES = [
                                nodes=7, elapsed=0.25, completed=True,
                                mirror_of=(1, 4, 1))),
     (analysis.PreUlrichTriple, dict(a=(5,), b=(3, -1), c=(-5,))),
-    (analysis.Extension, dict(triple=_TRIPLE, letter="a", time=2, value=7,
+    (analysis.Extension, dict(triple=_TRIPLE, time=2, value=7,
                               pre_ulrich=False, clashes=(Fraction(3, 2),))),
     (analysis.GreedyWord, dict(letters="aca")),
     (geometry.SchurWeight, dict(type=FlagType((1, 2)), entries=(4, 2, 2))),
