@@ -1,8 +1,15 @@
-"""Ulrich partitions: classification, structure theory, and geometry checks."""
+"""Ulrich partitions: classification, structure theory, and geometry checks.
+
+``import ulrich`` loads ``core`` and re-exports its names.  The other
+submodules, ``analysis``, ``diagram``, ``families``, ``geometry`` and
+``search``, load on first use: ``ulrich.search`` imports ``search`` then
+(PEP 562), as does ``from ulrich import search``.  A CLI start thus loads
+only what its command runs.
+"""
 
 __version__ = "0.1.0"
 
-from . import analysis, core, diagram, families, geometry, search  # noqa: F401
+from . import core  # noqa: F401
 from .core import (  # noqa: F401
     BlockedPartition,
     FlagType,
@@ -18,3 +25,19 @@ from .core import (  # noqa: F401
     shift,
     symmetric,
 )
+
+_LAZY = ("analysis", "diagram", "families", "geometry", "search")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        # The import binds the submodule on the package, so this hook runs
+        # at most once per name.  __import__ spares a start the importlib
+        # package.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

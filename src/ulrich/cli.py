@@ -8,18 +8,25 @@ Exit codes: 0 success / positive verdict; 1 negative verdict (not Ulrich,
 identity fails, counterexample found); 2 usage error, unreadable or
 unwritable file, or malformed checkpoint; 3 resource budget exhausted before
 completion.
+
+Only what parsing needs loads at start-up: ``core``, ``families`` (for the
+``family`` table) and ``analysis``, which ``families`` imports.  Each
+handler imports the modules it runs, ``search``, ``geometry``, ``diagram``
+and ``json``, so a ``check`` never loads the search engine.  The help
+formatter works out the terminal width without argparse's ``shutil``
+import, which would load ``zlib``, ``bz2`` and ``lzma`` on every start.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 import time
 
-from . import analysis, core, diagram, families, geometry, search
-from .core import BlockedPartition, FlagType
+from . import analysis, core, families
+from .core import FlagType
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -41,6 +48,7 @@ def _parse_type(text: str) -> FlagType:
 
 def _emit(args, payload: dict, lines) -> None:
     if args.json:
+        import json
         payload["schema"] = 1
         print(json.dumps(payload))
     else:
@@ -55,7 +63,9 @@ def _witness_text(verdict: core.UlrichVerdict) -> str | None:
     return f"{kind} {t}"
 
 
-def _limits(args) -> search.SearchLimits:
+def _limits(args):
+    """The ``search.SearchLimits`` of the resource options."""
+    from . import search
     if args.threads < 1:
         raise _usage(f"--threads must be at least 1, got {args.threads}")
     try:
@@ -83,6 +93,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagram
     P = core.parse_partition(args.partition)
     if args.svg is not None:
         text = diagram.render_svg(P)
@@ -93,6 +104,7 @@ def _cmd_diagram(args) -> int:
                 fh.write(text)
     table = diagram.evolution_table(P)
     if args.json:
+        import json
         payload = {
             "schema": 1,
             "command": "diagram",
@@ -110,6 +122,7 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import search
     ft = _parse_type(args.type)
     limits = _limits(args)
     if args.method == "baseline":
@@ -223,6 +236,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import search
     limits = _limits(args)
     # (default bound, least bound that selects a type): a sweep over no
     # type would report HOLDS having searched nothing.
@@ -273,11 +287,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from . import geometry
     P = core.parse_partition(args.partition)
     pol = None
-    if args.polarization:
-        pol = geometry.PolarizationWeights(
-            tuple(int(x) for x in args.polarization.split(",")))
+    # An empty value is refused, not read as "use the default".
+    if args.polarization is not None:
+        try:
+            pol = geometry.PolarizationWeights(
+                tuple(int(x) for x in args.polarization.split(",")))
+        except ValueError as exc:
+            raise _usage(f"bad --polarization {args.polarization!r}: {exc}")
     w = geometry.to_weight(P)
     h0, rank, degree, holds = geometry.ulrich_identity_check(P, pol)
     dim = geometry.flag_dimension(P.type)
@@ -303,6 +322,44 @@ def _cmd_geometry(args) -> int:
     return EXIT_OK if holds else EXIT_NEGATIVE
 
 
+def _terminal_columns() -> int:
+    """``shutil.get_terminal_size().columns``, without importing shutil.
+
+    A positive integer in ``COLUMNS`` wins; else the width of the terminal
+    on ``sys.__stdout__``; else 80.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at argparse's default width, found by
+    ``_terminal_columns``: argparse builds one per ``add_argument``."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24,
+                 width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose formatter is ``_HelpFormatter``; its
+    subparsers are ``_Parser`` too."""
+
+    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The ``ulrich`` parser, built once per process.
@@ -310,17 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing does not change it.  Each subcommand's ``func`` is the
     ``_cmd_*`` function as it was at this first build.
     """
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of text")
     # Only the subcommands that run searches take resource options.
-    searching = argparse.ArgumentParser(add_help=False, parents=[common])
+    searching = _Parser(add_help=False, parents=[common])
     searching.add_argument("--budget-seconds", type=float, default=None,
                            help="stop long searches after this wall time")
     searching.add_argument("--threads", type=int, default=1,
                            help="worker processes for searches")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ulrich",
         description="Classify, construct, and verify Ulrich partitions.")
     sub = parser.add_subparsers(dest="command", required=True)

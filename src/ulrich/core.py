@@ -23,7 +23,6 @@ the checks hold under ``python -O``.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 
@@ -270,6 +269,8 @@ def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
     if meeting_mask(blocks, N) >= 0:
         return UlrichVerdict(True, None)
     # Failures only: sort the times (x - y)/d as the integers (x - y)*(L/d).
+    # math and fractions load here, so a CLI start needs neither.
+    import math
     from fractions import Fraction
     L = math.lcm(*range(1, len(blocks)))
     times = sorted((x - y) * (L // (j - i))

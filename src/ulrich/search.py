@@ -199,24 +199,29 @@ def report_from_dict(data: dict) -> SearchReport:
     if not isinstance(data, dict):
         raise ValueError("a report record must be a JSON object")
 
-    def field(key, kind, item=None):
+    def field(key, *kinds, item=None):
+        # Exact types: bool is an int subclass, and JSON true is no count.
         value = data.get(key)
-        if not isinstance(value, kind) or item and not all(
-                isinstance(v, item) for v in value):
+        if type(value) not in kinds or item is not None and not all(
+                type(v) is item for v in value):
             raise ValueError(f"report field {key!r} is missing or mistyped")
         return value
 
     mirror_of = data.get("mirror_of")
-    ft = FlagType(tuple(field("type", list, int)))
+    ft = FlagType(tuple(field("type", list, item=int)))
     classes = tuple(core.parse_partition(s)
-                    for s in field("classes", list, str))
+                    for s in field("classes", list, item=str))
     if any(P.type != ft for P in classes):
         raise ValueError("report field 'classes' holds a partition of "
                          "another type")
+    if field("count", int) != len(classes):
+        raise ValueError("report field 'count' does not match the number "
+                         "of classes")
     return SearchReport(
-        ft, classes, field("nodes", int), field("elapsed", (int, float)),
+        ft, classes, field("nodes", int), field("elapsed", int, float),
         field("completed", bool),
-        None if mirror_of is None else tuple(field("mirror_of", list, int)))
+        None if mirror_of is None else tuple(field("mirror_of", list,
+                                                   item=int)))
 
 
 # --------------------------------------------------------------------------

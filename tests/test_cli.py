@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.metadata as md
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from ulrich.core import FlagType
 from ulrich.search import SearchReport
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def declared_scripts():
@@ -284,7 +286,12 @@ class TestVerify:
         # A class must have the report's type: a sweep mirrors it blockwise.
         ({"schema": 1, "type": [2, 1, 1], "classes": ["|2|1,0"], "count": 1,
           "nodes": 1, "elapsed": 0.0, "completed": True}, "classes"),
-    ], ids=["missing", "mistyped", "class-of-another-type"])
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
+          "nodes": True, "elapsed": 0.0, "completed": True}, "nodes"),
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 5,
+          "nodes": 1, "elapsed": 0.0, "completed": True}, "count"),
+    ], ids=["missing", "mistyped", "class-of-another-type", "bool-for-int",
+            "count-without-classes"])
     def test_bad_checkpoint_record(self, record, field, tmp_path, capsys):
         path = tmp_path / "ck.jsonl"
         path.write_text("\n" + json.dumps(record) + "\n")
@@ -377,6 +384,14 @@ class TestGeometry:
         assert run(["geometry", "--polarization", "1,1,1", "4|3,0|-2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_polarization_refused(self, value, capsys):
+        # An empty value is not the default polarization.
+        assert run(["geometry", "--polarization", value, "4|3,0|-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --polarization")
+
 
 class TestDiagram:
     def test_ascii(self, capsys):
@@ -459,3 +474,32 @@ class TestParser:
         ours = [ep.value for ep in eps
                 if ep.group == "console_scripts" and ep.name == "ulrich"]
         assert ours == [declared_scripts()["ulrich"]]
+
+
+class TestFreshInterpreter:
+    """Each subcommand in its own ``python -I -S``.
+
+    In process, an earlier test has already loaded every module, so a
+    handler that forgot one of its deferred imports shows only here.
+    """
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "4|3,0|-2"], 0),
+        # A negative verdict runs the failure branch of is_ulrich.
+        (["check", "5,3|0|-5"], 1),
+        (["analyze", "4|3,0|-2"], 0),
+        (["geometry", "4|3,0|-2"], 0),
+        (["diagram", "4|3,0|-2"], 0),
+        (["family", "p_u", "2"], 0),
+        (["enumerate", "1,2,1"], 0),
+        (["enumerate", "1,2,1", "--method", "baseline"], 0),
+        (["verify", "multistep", "5", "--threads", "2"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_subcommand(self, argv, code):
+        run_main = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                    "from ulrich.cli import main; sys.exit(main(sys.argv[2:]))")
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", run_main, str(SRC), *argv,
+             "--json"], capture_output=True, text=True, timeout=60)
+        assert result.returncode == code, result.stderr
+        assert json.loads(result.stdout)["command"] == argv[0]

@@ -497,6 +497,29 @@ class TestReportSerialization:
         assert (report.nodes, report.completed) == (52, True)
         assert report_to_dict(report) == json.loads(line)
 
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", True), ("nodes", 5.0), ("elapsed", False),
+        ("completed", 1), ("type", [2, True, 2]), ("count", True),
+        ("mirror_of", [True, 1]),
+    ])
+    def test_bool_or_float_for_another_type_refused(self, field, value):
+        # JSON true loads as a bool, which isinstance counts as an int.
+        data = report_to_dict(time_branching_search(FlagType((2, 2, 2))))
+        data[field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize("count", [5, 1, None])
+    def test_count_must_match_classes(self, count):
+        data = report_to_dict(time_branching_search(FlagType((2, 2, 2))))
+        assert data["count"] == 2
+        data["count"] = count
+        with pytest.raises(ValueError, match="'count'"):
+            report_from_dict(data)
+        data["classes"] = []
+        with pytest.raises(ValueError, match="'count'"):
+            report_from_dict(data)
+
 
 class TestSweeps:
     def test_no_multistep_small(self):

@@ -6,6 +6,8 @@ trees of ``src/ulrich`` and checks that each top-level function or class,
 and each method whose name is not a dunder, is named somewhere in the
 package outside its own definition, as an ``ast.Name`` (a call, a default,
 a decorator) or an ``ast.Attribute`` (``module.f``, ``obj.method``).
+Dunder methods, and the module-level PEP 562 hooks ``__getattr__`` and
+``__dir__``, are exempt: the interpreter calls them.
 
 The scan matches names, not bindings, so it cannot catch a member whose
 name is also used for something else: a stray ``dimension`` property is
@@ -22,6 +24,10 @@ import pathlib
 import ulrich
 
 PACKAGE = pathlib.Path(ulrich.__file__).parent
+
+# Module-level functions the interpreter calls on attribute lookup and
+# dir() of a module (PEP 562).
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 # Callers outside the package that the package itself does not have.
 ALLOWED = {
@@ -48,7 +54,9 @@ def _definitions(tree: ast.Module):
     """(qualified name, simple name, node) of each definition checked."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, kinds):
+        if not isinstance(node, kinds) or (
+                not isinstance(node, ast.ClassDef)
+                and node.name in MODULE_HOOKS):
             continue
         yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
@@ -85,3 +93,16 @@ def test_scan_sees_a_definition_without_a_caller():
     total = _names(tree)
     assert total["lonely"] - _names(lonely)["lonely"] == 0
     assert total["used"] - _names(used)["used"] == 1
+
+
+def test_scan_exempts_module_hooks_and_nothing_else():
+    # The PEP 562 hooks are exempt at module level only, and no other
+    # module-level dunder is: a class of that name, or __init__, is checked.
+    tree = ast.parse("def __getattr__(name):\n    pass\n"
+                     "def __dir__():\n    pass\n"
+                     "def __init__():\n    pass\n"
+                     "class __dir__:\n    pass\n"
+                     "class C:\n    def __getattr__(self, name):\n"
+                     "        pass\n    def helper(self):\n        pass\n")
+    assert [qualname for qualname, _, _ in _definitions(tree)] == [
+        "__init__", "__dir__", "C", "C.helper"]

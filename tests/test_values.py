@@ -13,6 +13,7 @@ import copy
 import itertools
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 import ulrich
-from ulrich import analysis, core, diagram, geometry, search
+from ulrich import analysis, cli, core, diagram, geometry, search
 from ulrich.core import FlagType
 
 _P = core.parse_partition("5|3,-1,-2,-4|-5")
@@ -50,8 +51,13 @@ SAMPLES = [
 ]
 
 # Modules a CLI start does not use; dataclasses would pull in inspect, and
-# fractions would pull in decimal.
-HEAVY = ("dataclasses", "inspect", "multiprocessing", "fractions", "decimal")
+# fractions would pull in decimal.  The handlers import json and the
+# submodules they run; core imports math on a negative verdict only; and
+# argparse's own width lookup would import shutil, which loads zlib, bz2
+# and lzma.
+HEAVY = ("dataclasses", "inspect", "multiprocessing", "fractions", "decimal",
+         "json", "_json", "math", "shutil", "zlib", "_bz2", "_lzma",
+         "ulrich.search", "ulrich.geometry", "ulrich.diagram")
 
 
 def _ids(sample):
@@ -157,16 +163,42 @@ class TestFlagTypeConstants:
         assert pickle.loads(pickle.dumps(FlagType((2, 3)))).dimension == 6
 
 
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in ``python -I -S`` with the package on the path."""
+    src = os.path.dirname(os.path.dirname(ulrich.__file__))
+    result = subprocess.run([sys.executable, "-I", "-S", "-c",
+                             "import sys; sys.path.insert(0, sys.argv[1]); "
+                             + code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestLightImport:
     def test_cli_start_loads_no_heavy_module(self):
-        src = os.path.dirname(os.path.dirname(ulrich.__file__))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import ulrich.cli; ulrich.cli.build_parser(); "
-                f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
-        result = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == []
+        out = _fresh("import ulrich.cli; ulrich.cli.build_parser(); "
+                     f"print(' '.join(m for m in {HEAVY!r} "
+                     "if m in sys.modules))")
+        assert out.split() == []
+
+    def test_submodules_load_on_first_use(self):
+        out = _fresh("import ulrich; "
+                     "print('ulrich.search' in sys.modules, "
+                     "ulrich.search.__name__, ulrich.geometry.__name__, "
+                     "'search' in dir(ulrich))\n"
+                     "try:\n    ulrich.nope\n"
+                     "except AttributeError as exc:\n    print(exc)")
+        assert out.splitlines() == [
+            "False ulrich.search ulrich.geometry True",
+            "module 'ulrich' has no attribute 'nope'"]
+
+    @pytest.mark.parametrize("columns", [None, "0", "x", "30", "120"])
+    def test_help_width_matches_shutil(self, columns, monkeypatch):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        assert cli._terminal_columns() == shutil.get_terminal_size().columns
 
     def test_failure_witness_still_a_fraction(self):
         verdict = core.is_ulrich(core.parse_partition("5|3,-1|-5"))
