@@ -65,8 +65,11 @@ whole search.  Every walk, serial, split prefix or subtree, reads the clock
 at its first node and then every 1024 nodes, and nowhere else; so a spent
 budget stops each walk at its root, and a split search stops at the first
 subtree a limit stopped.  A sweep gives these limits to each type.
-``_pool_map`` is the one process pool; it imports ``multiprocessing`` when
-it starts a pool, not when this module is imported.
+``_pool_map`` is the one runner of worker processes: forked workers, each
+on its own pipe, fed from the calling thread with no helper thread.  A
+worker that dies is an error, not a hang, and no worker outlives the
+call.  It imports ``multiprocessing`` when it starts workers, not when
+this module is imported.
 
 Sweeps.  ``verify_no_multistep`` and ``verify_conjecture_sweep`` classify
 many types through ``_run_type_sweep``, which keeps each ``SearchReport``
@@ -140,7 +143,7 @@ class SearchReport(Frozen):
     stopped by ``max_nodes`` reports ``max_nodes + 1`` nodes.  A budget
     that stops a search with ``workers > 1`` leaves ``nodes`` a lower bound
     too, which varies from run to run: the subtrees still running in other
-    workers are terminated and their nodes are not counted.
+    workers are killed and their nodes are not counted.
 
     ``nodes`` is the size of the type's search tree.  For a palindromic
     type one mirror half of it is counted, not walked
@@ -217,11 +220,20 @@ def report_from_dict(data: dict) -> SearchReport:
     if field("count", int) != len(classes):
         raise ValueError("report field 'count' does not match the number "
                          "of classes")
-    return SearchReport(
-        ft, classes, field("nodes", int), field("elapsed", int, float),
-        field("completed", bool),
-        None if mirror_of is None else tuple(field("mirror_of", list,
-                                                   item=int)))
+    nodes = field("nodes", int)
+    if nodes < 0:
+        raise ValueError("report field 'nodes' is negative")
+    elapsed = field("elapsed", int, float)
+    # NaN compares False, so NaN fails too.
+    if not 0 <= elapsed < math.inf:
+        raise ValueError("report field 'elapsed' is not a finite time >= 0")
+    if mirror_of is not None:
+        mirror_of = tuple(field("mirror_of", list, item=int))
+        if mirror_of != ft.lengths[::-1] or mirror_of == ft.lengths:
+            raise ValueError("report field 'mirror_of' is not the reversed "
+                             "type of a type that is not a palindrome")
+    return SearchReport(ft, classes, nodes, elapsed, field("completed", bool),
+                        mirror_of)
 
 
 # --------------------------------------------------------------------------
@@ -620,22 +632,86 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     return found, frontier, nodes, True
 
 
+def _serve(fn, conn, parent_ends):
+    """A worker of ``_pool_map``: answer each job received on ``conn`` with
+    (True, fn(job)) or (False, its exception), until the job None.
+
+    The parent's ends of the pipes came with the fork.  They are closed
+    first, so that when the parent dies, ``conn`` reads EOF, or a reply
+    finds the pipe broken, and the worker stops.
+    """
+    for end in parent_ends:
+        end.close()
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        for job in iter(conn.recv, None):
+            try:
+                reply = True, fn(job)
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
+
+
 def _pool_map(fn, jobs, workers: int):
     """Yield fn(job) for every job of a list, in completion order.
 
     With one worker, or fewer than two jobs, the jobs run here in order.
-    Otherwise one fork pool (Linux) of min(workers, len(jobs)) processes
-    runs them, and closing the generator terminates the pool.
-    ``multiprocessing`` is imported only here, when a pool is started, so
-    a serial search or a CLI start does not load it.
+    Otherwise min(workers, len(jobs)) forked processes (Linux) run them,
+    each ``_serve``-ing one job at a time on its own pipe; ``fn`` is
+    inherited through the fork, not pickled, and no job may be None.  This
+    thread hands out the jobs and waits for the results: no helper thread
+    is started.  A job's exception is raised here with its own type, and a
+    worker that dies raises RuntimeError with its exit code.  Closing the
+    generator, or any error, kills the workers, and every one is joined;
+    if this process dies, each worker stops when it next uses its pipe.
+    ``multiprocessing`` is imported only here, when workers are started,
+    so a serial search or a CLI start does not load it.
     """
     if workers <= 1 or len(jobs) < 2:
         yield from map(fn, jobs)
         return
     import multiprocessing
+    from multiprocessing.connection import wait
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(jobs))) as pool:
-        yield from pool.imap_unordered(fn, jobs)
+    todo = iter(jobs)
+    started = []
+    ends = []
+    # busy[conn]: the process working on the job sent on conn.
+    busy = {}
+    try:
+        for job in itertools.islice(todo, workers):
+            conn, child = ctx.Pipe()
+            ends.append(conn)
+            proc = ctx.Process(target=_serve, args=(fn, child, ends),
+                               daemon=True)
+            proc.start()
+            started.append(proc)
+            # Only the worker holds its end now, so its death reads as EOF.
+            child.close()
+            conn.send(job)
+            busy[conn] = proc
+        while busy:
+            for conn in wait(busy):
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    proc = busy[conn]
+                    proc.join(1)
+                    raise RuntimeError(f"a worker process died with exit "
+                                       f"code {proc.exitcode}") from None
+                if not ok:
+                    raise value
+                job = next(todo, None)
+                conn.send(job)
+                if job is None:
+                    del busy[conn]
+                yield value
+    finally:
+        for proc in started:
+            proc.kill()
+        for proc in started:
+            proc.join()
+        for conn in ends:
+            conn.close()
 
 
 def _mirror_blocks(blocks):

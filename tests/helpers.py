@@ -1,17 +1,36 @@
-"""Shared test utilities: an independent Ulrich oracle and random generators."""
+"""Shared test utilities: an independent Ulrich oracle, random generators
+and a fresh interpreter."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import ulrich
 from ulrich import core
 from ulrich.analysis import PreUlrichTriple
 from ulrich.core import BlockedPartition, FlagType
+
+
+def fresh_stdout(code: str) -> str:
+    """Stdout of ``code`` run in ``python -I -S`` with the package on the path.
+
+    The run must exit 0 within 60 s, so a hang fails the calling test.
+    """
+    src = os.path.dirname(os.path.dirname(ulrich.__file__))
+    result = subprocess.run([sys.executable, "-I", "-S", "-c",
+                             "import sys; sys.path.insert(0, sys.argv[1]); "
+                             + code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def meetings(blocks) -> list[tuple[Fraction, int, int, int, int]]:

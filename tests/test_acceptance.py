@@ -8,11 +8,11 @@ and rational arithmetic throughout, no tolerances.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from multiprocessing import get_context
 
 from ulrich import analysis, core, families, geometry, search
 from ulrich.core import FlagType, parse_partition
@@ -203,13 +203,12 @@ def test_criterion_09_oracle_bridge():
         types = all_types(12, min_blocks=2, max_blocks=5)
         assert len(types) == 68
         total = found = 0
-        with get_context("fork").Pool(8) as pool:
-            jobs = [ft.lengths for ft in types]
-            for lengths, candidates, ulrich, bad in pool.imap_unordered(
-                    _bridge_worker, jobs):
-                assert bad is None, f"disagreement at {bad} in type {lengths}"
-                total += candidates
-                found += ulrich
+        jobs = [ft.lengths for ft in types]
+        for lengths, candidates, ulrich, bad in search._pool_map(
+                _bridge_worker, jobs, os.cpu_count() or 1):
+            assert bad is None, f"disagreement at {bad} in type {lengths}"
+            total += candidates
+            found += ulrich
         assert total == 896590
         assert found == 127
         d["note"] = f"{total} candidates over 68 types, {found} Ulrich"

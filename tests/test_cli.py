@@ -290,8 +290,16 @@ class TestVerify:
           "nodes": True, "elapsed": 0.0, "completed": True}, "nodes"),
         ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 5,
           "nodes": 1, "elapsed": 0.0, "completed": True}, "count"),
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
+          "nodes": -5, "elapsed": 0.0, "completed": True}, "nodes"),
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
+          "nodes": 1, "elapsed": float("nan"), "completed": True}, "elapsed"),
+        ({"schema": 1, "type": [1, 1, 1, 1], "classes": [], "count": 0,
+          "nodes": 1, "elapsed": 0.0, "completed": True,
+          "mirror_of": [9, 9]}, "mirror_of"),
     ], ids=["missing", "mistyped", "class-of-another-type", "bool-for-int",
-            "count-without-classes"])
+            "count-without-classes", "negative-nodes", "nan-elapsed",
+            "mirror-of-another-type"])
     def test_bad_checkpoint_record(self, record, field, tmp_path, capsys):
         path = tmp_path / "ck.jsonl"
         path.write_text("\n" + json.dumps(record) + "\n")

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from ulrich.search import (SearchLimits, baseline_oracle, report_from_dict,
                            report_to_dict, time_branching_search,
                            verify_conjecture_sweep, verify_no_multistep)
 
-from helpers import all_types, brute_is_ulrich
+from helpers import all_types, brute_is_ulrich, fresh_stdout
 
 
 def classes_of(lengths, **kwargs):
@@ -396,6 +397,96 @@ class TestWorkers:
         assert report.completed and report.classes == ()
 
 
+class TestPoolMap:
+    """``_pool_map`` runs jobs on forked workers and leaves none behind."""
+
+    def test_every_result_once(self):
+        jobs = list(range(-30, 30))
+        assert sorted(search._pool_map(abs, jobs, 3)) == sorted(map(abs, jobs))
+        assert not multiprocessing.active_children()
+
+    def test_serial_in_order(self):
+        jobs = [3, -1, 2]
+        assert list(search._pool_map(abs, jobs, 1)) == [3, 1, 2]
+        assert list(search._pool_map(abs, jobs[:1], 4)) == [3]
+
+    def test_job_error_keeps_its_type(self):
+        with pytest.raises(ValueError, match="invalid literal"):
+            list(search._pool_map(int, ["1", "x", "3", "4"], 2))
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_raises(self):
+        # A worker killed mid-job must not leave the caller waiting forever.
+        out = fresh_stdout("import os\n"
+                           "from ulrich import search\n"
+                           "jobs = [3, 3, 3]\n"
+                           "try:\n"
+                           "    list(search._pool_map(os._exit, jobs, 2))\n"
+                           "except RuntimeError as exc:\n"
+                           "    print(exc)")
+        assert "exit code 3" in out
+
+    def test_workers_stop_when_the_parent_dies(self, tmp_path):
+        # A worker reads EOF once no process holds the parent's end.  The
+        # pids go to a file: a worker that lives on would hold a pipe open.
+        src = os.path.dirname(os.path.dirname(ulrich.__file__))
+        path = tmp_path / "pids"
+        code = textwrap.dedent("""
+            import multiprocessing, os, sys, time
+            sys.path.insert(0, sys.argv[1])
+            from ulrich import search
+            results = search._pool_map(time.sleep, [0, 0.2, 0.2, 0.2], 2)
+            next(results)
+            with open(sys.argv[2], "w") as fh:
+                print(*[p.pid for p in multiprocessing.active_children()],
+                      file=fh)
+            os.kill(os.getpid(), 9)
+            """)
+        subprocess.run([sys.executable, "-I", "-S", "-c", code, src,
+                        str(path)], timeout=60)
+        pids = [int(pid) for pid in path.read_text().split()]
+        assert len(pids) == 2
+
+        def running(pid):
+            # An orphan that has exited may stay a zombie until reaped.
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if running(pid)]
+        for pid in left:
+            os.kill(pid, 9)
+        assert left == []
+
+    def test_closing_kills_workers(self):
+        results = search._pool_map(time.sleep, [0, 60, 60], 2)
+        start = time.monotonic()
+        assert next(results) is None
+        results.close()
+        assert not multiprocessing.active_children()
+        assert time.monotonic() - start < 30
+
+    def test_capped_split_search_leaves_no_worker(self):
+        report = time_branching_search(
+            FlagType((2, 8, 2)), SearchLimits(max_nodes=5000), workers=2)
+        assert (report.completed, report.nodes) == (False, 5001)
+        assert not multiprocessing.active_children()
+
+    def test_sweep_starts_no_helper_thread(self):
+        out = fresh_stdout("import threading\n"
+                           "from ulrich import search\n"
+                           "search.verify_no_multistep(5, workers=2)\n"
+                           "print('multiprocessing' in sys.modules, "
+                           "'multiprocessing.pool' in sys.modules, "
+                           "threading.active_count())")
+        assert out.split() == ["True", "False", "1"]
+
+
 class TestLimits:
     def test_node_cap_reports_incomplete(self):
         limits = SearchLimits(max_nodes=10)
@@ -519,6 +610,38 @@ class TestReportSerialization:
         data["classes"] = []
         with pytest.raises(ValueError, match="'count'"):
             report_from_dict(data)
+
+    # A hand-edited line could claim values no search reports.
+
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", -5), ("elapsed", float("nan")), ("elapsed", float("inf")),
+        ("elapsed", -1.0), ("elapsed", -1),
+    ])
+    def test_impossible_value_refused(self, field, value):
+        data = report_to_dict(time_branching_search(FlagType((2, 2, 2))))
+        data[field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize("lengths, mirror_of", [
+        ((1, 1, 1, 1), [9, 9]), ((1, 1, 1, 1), [1, 1, 1, 1]),
+        ((2, 2, 2), [2, 2, 2]), ((2, 2, 1), [2, 2, 1]),
+        ((2, 2, 1), [1, 2, 2, 1]), ((2, 2, 1), [1, 1, 2]),
+    ])
+    def test_mirror_of_must_be_the_reversed_type(self, lengths, mirror_of):
+        data = report_to_dict(time_branching_search(FlagType(lengths)))
+        data["mirror_of"] = mirror_of
+        with pytest.raises(ValueError, match="'mirror_of'"):
+            report_from_dict(data)
+        data["mirror_of"] = list(lengths[::-1])
+        if lengths != lengths[::-1]:
+            assert report_from_dict(data).mirror_of == lengths[::-1]
+
+    def test_zero_values_load(self):
+        data = report_to_dict(time_branching_search(FlagType((2, 2, 2))))
+        data.update(nodes=0, elapsed=0)
+        assert (report_from_dict(data).nodes,
+                report_from_dict(data).elapsed) == (0, 0)
 
 
 class TestSweeps:

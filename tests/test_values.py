@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import copy
 import itertools
-import os
 import pickle
 import shutil
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import ulrich
 from ulrich import analysis, cli, core, diagram, geometry, search
 from ulrich.core import FlagType
+
+from helpers import fresh_stdout
 
 _P = core.parse_partition("5|3,-1,-2,-4|-5")
 _TRIPLE = analysis.PreUlrichTriple((5,), (3, -1), (-5,))
@@ -163,31 +161,20 @@ class TestFlagTypeConstants:
         assert pickle.loads(pickle.dumps(FlagType((2, 3)))).dimension == 6
 
 
-def _fresh(code: str) -> str:
-    """Stdout of ``code`` run in ``python -I -S`` with the package on the path."""
-    src = os.path.dirname(os.path.dirname(ulrich.__file__))
-    result = subprocess.run([sys.executable, "-I", "-S", "-c",
-                             "import sys; sys.path.insert(0, sys.argv[1]); "
-                             + code, src],
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 class TestLightImport:
     def test_cli_start_loads_no_heavy_module(self):
-        out = _fresh("import ulrich.cli; ulrich.cli.build_parser(); "
-                     f"print(' '.join(m for m in {HEAVY!r} "
-                     "if m in sys.modules))")
+        out = fresh_stdout("import ulrich.cli; ulrich.cli.build_parser(); "
+                           f"print(' '.join(m for m in {HEAVY!r} "
+                           "if m in sys.modules))")
         assert out.split() == []
 
     def test_submodules_load_on_first_use(self):
-        out = _fresh("import ulrich; "
-                     "print('ulrich.search' in sys.modules, "
-                     "ulrich.search.__name__, ulrich.geometry.__name__, "
-                     "'search' in dir(ulrich))\n"
-                     "try:\n    ulrich.nope\n"
-                     "except AttributeError as exc:\n    print(exc)")
+        out = fresh_stdout("import ulrich; "
+                           "print('ulrich.search' in sys.modules, "
+                           "ulrich.search.__name__, ulrich.geometry.__name__, "
+                           "'search' in dir(ulrich))\n"
+                           "try:\n    ulrich.nope\n"
+                           "except AttributeError as exc:\n    print(exc)")
         assert out.splitlines() == [
             "False ulrich.search ulrich.geometry True",
             "module 'ulrich' has no attribute 'nope'"]
