@@ -8,6 +8,10 @@ forced (Extension rules below).  This module implements the growth step
 reformulation for singleton middle blocks, and two boundary rules
 (trapezoid, rectangle) that relate a partition to its dual.
 
+``greedy_word`` and ``replay`` carry the covered-time mask through the
+growth: each step adds only the new entry's meeting times to it, where
+``extend`` on its own first builds the mask of the whole triple.
+
 All formulas are phrased directly on entry values, which makes them
 independent of the velocity normalization used for display.
 """
@@ -107,6 +111,15 @@ def extend(T: PreUlrichTriple, letter: str) -> Extension:
     mask = _mask(T)
     if mask < 0:
         raise ValueError("triple has a fractional or repeated meeting time")
+    return _grow(T, mask, letter)[0]
+
+
+def _grow(T: PreUlrichTriple, mask: int, letter: str):
+    """The growth step of ``extend`` on T, whose ``_mask`` is ``mask`` >= 0.
+
+    Returns the Extension and the candidate's ``_mask``: ``mask`` with the
+    new entry's times added, or -1 when one of them clashes.
+    """
     t0 = _first_gap(mask)
     # At time t0 an entry x of block m (A, B, C for m = 0, 1, 2) sits at
     # x + v[m].
@@ -134,9 +147,10 @@ def extend(T: PreUlrichTriple, letter: str) -> Extension:
             mask |= 1 << t
     # T's times are distinct integers, so the candidate's are unless a new
     # pair clashed.
-    return Extension(candidate, t0, value,
+    step = Extension(candidate, t0, value,
                      not clashes and _parity_ok(candidate),
                      tuple(sorted(clashes)))
+    return step, -1 if clashes else mask
 
 
 class GreedyWord(Frozen):
@@ -167,9 +181,10 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
                for i, j in ((0, 1), (0, 2), (1, 2))
                for x in P.blocks[i] for y in P.blocks[j]}
     sub = PreUlrichTriple((), full.b, ())
+    mask = 0  # the middle block alone has no meeting times
     letters = []
     while len(sub.a) < len(full.a) or len(sub.c) < len(full.c):
-        t0 = _first_gap(_mask(sub))
+        t0 = _first_gap(mask)
         bi, bj, x, y = by_time[t0]
         if (bi, bj) == (0, 1):
             letter = "a"
@@ -182,7 +197,7 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
         else:
             raise AssertionError(
                 f"collision at t={t0} involves two unplaced outer entries")
-        step = extend(sub, letter)
+        step, mask = _grow(sub, mask, letter)
         expected = x if letter == "a" else y
         if step.value != expected or not step.pre_ulrich:
             raise AssertionError(
@@ -200,8 +215,9 @@ def replay(word: str, middle) -> PreUlrichTriple:
     word is not realizable from that middle block.
     """
     T = PreUlrichTriple((), tuple(middle), ())
+    mask = 0  # the middle block alone has no meeting times
     for pos, letter in enumerate(word):
-        step = extend(T, letter)
+        step, mask = _grow(T, mask, letter)
         if not step.pre_ulrich:
             why = (f"double-books times {step.clashes}" if step.clashes
                    else "breaks the outer parity invariant")

@@ -8,8 +8,9 @@ positive rational time (x - y)/(j - i) for x in block i, y in block j, i < j.
 
 The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
 exactly the integers 1..N, each hit once.  ``meeting_mask`` is the one test of
-that; ``is_ulrich`` adds a witness on failure.  Everything in this module is
-exact integer arithmetic, no floats; only that witness time is a rational.
+that; ``is_ulrich`` adds a witness on failure, found when it is read.
+Everything in this module is exact integer arithmetic, no floats; only that
+witness time is a rational.
 
 The package's value types derive from ``Frozen``, which gives a
 ``__slots__`` class the contract of a frozen dataclass without importing
@@ -176,17 +177,20 @@ def parse_partition(text: str) -> BlockedPartition:
     text = text.strip().replace("−", "-")
     if not text:
         raise ValueError("empty partition string")
-    blocks = []
+    entries, lengths = [], []
     for part in text.split("|"):
         part = part.strip()
         if not part:
-            blocks.append(())
+            lengths.append(0)
             continue
+        toks = part.split(",")
         try:
-            blocks.append(tuple(int(tok.strip()) for tok in part.split(",")))
+            # int() ignores the whitespace around each token.
+            entries += map(int, toks)
         except ValueError:
             raise ValueError(f"bad block {part!r} in partition string {text!r}") from None
-    return from_blocks(blocks)
+        lengths.append(len(toks))
+    return BlockedPartition(FlagType(tuple(lengths)), entries)
 
 
 @functools.lru_cache(maxsize=256)
@@ -205,16 +209,37 @@ class UlrichVerdict(Frozen):
 
     The witness is None on success, otherwise a pair (kind, time) where kind
     is one of "non-integral-time", "duplicate-time", "missing-time", and
-    time is a ``fractions.Fraction``.
+    time is a ``fractions.Fraction``.  A negative verdict from ``is_ulrich``
+    finds its witness when ``witness`` is first read and keeps it, so a
+    caller that only tests the verdict never pays for it; equality, hash,
+    ``repr`` and pickling read ``witness`` and so see the same value as for
+    a verdict built with it.
     """
 
-    __slots__ = ("is_ulrich", "witness")
-    _fields = __slots__
+    __slots__ = ("is_ulrich", "_witness", "_source")
+    _fields = ("is_ulrich", "witness")
 
     def __init__(self, is_ulrich: bool,
                  witness: tuple[str, Fraction] | None):
         object.__setattr__(self, "is_ulrich", is_ulrich)
-        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "_witness", witness)
+        # The partition whose witness is still to be found, or None.
+        object.__setattr__(self, "_source", None)
+
+    @classmethod
+    def _unread(cls, P: BlockedPartition) -> "UlrichVerdict":
+        """The negative verdict on P, its witness found on first read."""
+        verdict = cls(False, None)
+        object.__setattr__(verdict, "_source", P)
+        return verdict
+
+    @property
+    def witness(self) -> tuple[str, Fraction] | None:
+        P = self._source
+        if P is not None:
+            object.__setattr__(self, "_witness", _witness_of(P))
+            object.__setattr__(self, "_source", None)
+        return self._witness
 
     def __bool__(self) -> bool:
         return self.is_ulrich
@@ -261,15 +286,21 @@ def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
 
     On failure the witness is the smallest meeting time that is non-integral
     or repeats an earlier one, else the first time in 1..N that no pair meets
-    at.  Invalid partitions (non-decreasing entries) never reach here: the
+    at; it is found when first read (``UlrichVerdict.witness``).  Invalid
+    partitions (non-decreasing entries) never reach here: the
     BlockedPartition constructor rejects them, which keeps "malformed input"
     distinct from a genuine negative verdict.
     """
-    blocks, N = P.blocks, P.dimension
-    if meeting_mask(blocks, N) >= 0:
+    if meeting_mask(P.blocks, P.dimension) >= 0:
         return UlrichVerdict(True, None)
-    # Failures only: sort the times (x - y)/d as the integers (x - y)*(L/d).
-    # math and fractions load here, so a CLI start needs neither.
+    return UlrichVerdict._unread(P)
+
+
+def _witness_of(P: BlockedPartition) -> tuple[str, Fraction]:
+    """The witness of a partition that is not Ulrich (see ``is_ulrich``)."""
+    blocks, N = P.blocks, P.dimension
+    # Sort the times (x - y)/d as the integers (x - y)*(L/d).  math and
+    # fractions load here, so a CLI start needs neither.
     import math
     from fractions import Fraction
     L = math.lcm(*range(1, len(blocks)))
@@ -280,10 +311,10 @@ def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
     for T, prev in zip(times, [None] + times):
         if T % L or T == prev:
             kind = "non-integral-time" if T % L else "duplicate-time"
-            return UlrichVerdict(False, (kind, Fraction(T, L)))
+            return kind, Fraction(T, L)
     seen = set(times)
     s = next(s for s in range(1, N + 1) if s * L not in seen)
-    return UlrichVerdict(False, ("missing-time", Fraction(s)))
+    return "missing-time", Fraction(s)
 
 
 def shift(P: BlockedPartition, c: int) -> BlockedPartition:

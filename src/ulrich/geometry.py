@@ -22,6 +22,7 @@ a remainder; no rational arithmetic is used.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
@@ -89,19 +90,25 @@ def _normalize_weight(mu, n: int):
 
 
 def schur_dim(mu, n: int) -> int:
-    """dim of the Schur module S_mu(C^n) by the hook-content formula."""
+    """dim of the Schur module S_mu(C^n) by the hook-content formula.
+
+    Taken row by row: the contents of row i are n-i, ..., n-i+row-1, one
+    ``math.perm``, and over the columns parts[k+1] <= j < parts[k], all of
+    length k+1, the hooks of row i are consecutive integers, one
+    ``math.perm`` per run.  So the work grows with the number of rows, not
+    with the number of boxes.
+    """
     parts = _normalize_weight(mu, n)
     if len(parts) > n:
         return 0
-    # cols[j] is the length of column j: the number of rows longer than j.
-    cols = []
-    for i in range(len(parts) - 1, -1, -1):
-        cols.extend([i + 1] * (parts[i] - len(cols)))
+    below = parts[1:] + (0,)
     num = den = 1
     for i, row in enumerate(parts):
-        for j in range(row):
-            num *= n + j - i
-            den *= row - j + cols[j] - i - 1
+        num *= math.perm(n - i + row - 1, row)
+        for k in range(i, len(parts)):
+            # The hook of box (i, j) in a column of length k+1 is
+            # row - j + k - i; j runs from below[k] up to parts[k] - 1.
+            den *= math.perm(row - below[k] + k - i, parts[k] - below[k])
     dim, rem = divmod(num, den)
     if rem:
         raise RuntimeError("hook-content product must divide exactly")
@@ -178,7 +185,13 @@ def bwb_cohomology(w: SchurWeight, t: int = 0) -> CohomologyAnswer:
     v = [x + s for x, s in zip(twist(w, t).entries, rho(n))]
     if len(set(v)) < n:
         return CohomologyAnswer(None, 0, None)
-    q = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
+    # q counts the pairs i < j with v[i] < v[j]: for each entry, the
+    # smaller entries before it, found in the sorted list of those seen.
+    q, seen = 0, []
+    for x in v:
+        k = bisect.bisect_left(seen, x)
+        q += k
+        seen.insert(k, x)
     mu = tuple(x - s for x, s in zip(sorted(v, reverse=True), rho(n)))
     dim = schur_dim(mu, n)
     if dim != schur_dim_weyl(mu, n):
@@ -192,15 +205,11 @@ def is_ulrich_via_bwb(P: BlockedPartition) -> bool:
     Only the repeated-entry check is needed (no dimensions), so this is fast
     and entirely independent of the meeting-time kernel ``core.meeting_mask``.
     """
-    N = P.dimension
-    n = P.type.n
     r = P.type.r
-    velocities = []
-    for b, l in enumerate(P.type.lengths):
-        velocities.extend([r - b] * l)
-    for t in range(1, N + 1):
-        v = [e - t * m for e, m in zip(P.entries, velocities)]
-        if len(set(v)) == n:
+    moves = [(e, r - b) for b, block in enumerate(P.blocks) for e in block]
+    n = len(moves)
+    for t in range(1, P.dimension + 1):
+        if len({e - t * m for e, m in moves}) == n:
             return False
     return True
 
@@ -246,6 +255,15 @@ class PolarizationWeights(Frozen):
         return tuple(reversed(levels))
 
 
+def _superfactorial(k: int) -> int:
+    """1! * 2! * ... * k!: the product of j - i over all 0 <= i < j <= k."""
+    out = fact = 1
+    for j in range(2, k + 1):
+        fact *= j
+        out *= fact
+    return out
+
+
 def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -> int:
     """Degree of Fl(k; n) under the polarization (default: all ones).
 
@@ -256,7 +274,10 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
 
         deg = N! * prod_{u<w} (c_u - c_w)^(l_u l_w) / prod_{cross pairs} (j - i).
 
-    Both products are taken in integers and divided once, exactly.
+    The product of j - i over all pairs of the n positions is sf(n-1), and
+    over the pairs inside a block of length l it is sf(l-1), where
+    sf(k) = 1! * 2! * ... * k!, so the denominator is itself a quotient.
+    Each quotient is of two integer products, taken by one exact division.
     """
     ft = FlagType(ft.lengths)
     if not ft.all_positive:
@@ -266,15 +287,17 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
     if len(polarization.a) != r:
         raise ValueError(f"{r}-step flag needs {r} polarization coefficients")
     levels = polarization.block_levels()
+    lengths = ft.lengths
     num = math.factorial(ft.dimension)
-    den = 1
-    block_of = [b for b, l in enumerate(ft.lengths) for _ in range(l)]
-    for i in range(ft.n):
-        for j in range(i + 1, ft.n):
-            u, w = block_of[i], block_of[j]
-            if u != w:
-                num *= levels[u] - levels[w]
-                den *= j - i
+    for u, lu in enumerate(lengths):
+        for w in range(u + 1, len(lengths)):
+            num *= (levels[u] - levels[w]) ** (lu * lengths[w])
+    every = _superfactorial(ft.n - 1)
+    inner = math.prod(_superfactorial(l - 1) for l in lengths)
+    den, rem = divmod(every, inner)
+    if rem:
+        raise RuntimeError(
+            f"cross-pair product must be an integer, got {every}/{inner}")
     deg, rem = divmod(num, den)
     if rem or deg <= 0:
         raise RuntimeError(

@@ -660,7 +660,8 @@ def _pool_map(fn, jobs, workers: int):
     inherited through the fork, not pickled, and no job may be None.  This
     thread hands out the jobs and waits for the results: no helper thread
     is started.  A job's exception is raised here with its own type, and a
-    worker that dies raises RuntimeError with its exit code.  Closing the
+    worker that dies raises ChildProcessError (an OSError, so the CLI
+    reports it as one ``error:`` line) with its exit code.  Closing the
     generator, or any error, kills the workers, and every one is joined;
     if this process dies, each worker stops when it next uses its pipe.
     ``multiprocessing`` is imported only here, when workers are started,
@@ -696,8 +697,9 @@ def _pool_map(fn, jobs, workers: int):
                 except EOFError:
                     proc = busy[conn]
                     proc.join(1)
-                    raise RuntimeError(f"a worker process died with exit "
-                                       f"code {proc.exitcode}") from None
+                    raise ChildProcessError(
+                        f"a worker process died with exit code "
+                        f"{proc.exitcode}") from None
                 if not ok:
                     raise value
                 job = next(todo, None)

@@ -1,9 +1,10 @@
-"""Shared test utilities: an independent Ulrich oracle, random generators
-and a fresh interpreter."""
+"""Shared test utilities: an independent Ulrich oracle, reference formulas
+for the geometry, random generators and a fresh interpreter."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -19,16 +20,17 @@ from ulrich.analysis import PreUlrichTriple
 from ulrich.core import BlockedPartition, FlagType
 
 
-def fresh_stdout(code: str) -> str:
+def fresh_stdout(code: str, timeout: float = 60) -> str:
     """Stdout of ``code`` run in ``python -I -S`` with the package on the path.
 
-    The run must exit 0 within 60 s, so a hang fails the calling test.
+    The run must exit 0 within ``timeout`` seconds, so a hang fails the
+    calling test.
     """
     src = os.path.dirname(os.path.dirname(ulrich.__file__))
     result = subprocess.run([sys.executable, "-I", "-S", "-c",
                              "import sys; sys.path.insert(0, sys.argv[1]); "
                              + code, src],
-                            capture_output=True, text=True, timeout=60)
+                            capture_output=True, text=True, timeout=timeout)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -160,6 +162,63 @@ def count_ssyt(shape, n: int) -> int:
         return total
 
     return fill(0)
+
+
+def reference_schur_dim(mu, n: int) -> int:
+    """dim S_mu(C^n) by the hook-content formula, box by box.
+
+    Stanley, EC2 Cor. 7.21.4: the product over the boxes (i, j) of the
+    shape of (n + j - i) / hook(i, j).  A weight with a negative entry
+    must have all n entries and is shifted to a shape first (a power of
+    the determinant).  Shares no code with src.
+    """
+    low = min(mu[-1], 0) if mu else 0
+    if low < 0 and len(mu) != n:
+        raise ValueError("negative entries need all n weight entries")
+    parts = [x - low for x in mu if x > low]
+    if len(parts) > n:
+        return 0
+    # cols[j]: the length of column j, the number of rows longer than j.
+    cols = [sum(1 for p in parts if p > j) for j in range(parts[0])] \
+        if parts else []
+    num = den = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            num *= n + j - i
+            den *= row - j + cols[j] - i - 1
+    dim, rem = divmod(num, den)
+    assert rem == 0, (mu, n)
+    return dim
+
+
+def reference_flag_degree(lengths, a) -> int:
+    """Degree of Fl(k; n) under sum(a_i * omega_{k_i}), pair by pair.
+
+    N! * prod (c_u - c_w) / prod (j - i) over the pairs i < j of positions
+    in different blocks u < w, c being each block's level (the suffix sums
+    of a, 0 on the last block).  Shares no code with src.
+    """
+    levels = [sum(a[u:]) for u in range(len(lengths))]
+    block_of = [u for u, l in enumerate(lengths) for _ in range(l)]
+    n = len(block_of)
+    N = sum(1 for i in range(n) for j in range(i + 1, n)
+            if block_of[i] != block_of[j])
+    num, den = math.factorial(N), 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            u, w = block_of[i], block_of[j]
+            if u != w:
+                num *= levels[u] - levels[w]
+                den *= j - i
+    deg, rem = divmod(num, den)
+    assert rem == 0, (lengths, a)
+    return deg
+
+
+def reference_inversions(v) -> int:
+    """The number of pairs i < j with v[i] < v[j]: Bott's degree q."""
+    return sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
+               if v[i] < v[j])
 
 
 def all_types(max_dim: int, min_blocks: int = 2, max_blocks: int = 6):

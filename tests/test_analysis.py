@@ -1,5 +1,10 @@
 """Three-block structure theory: growth steps, greedy words, boundary rules."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings
@@ -140,6 +145,45 @@ class TestGreedyWord:
         assert word.count("a") == P.type.lengths[0]
         assert word.count("c") == P.type.lengths[2]
         assert analysis.replay(word, P.blocks[1]).as_partition() == P
+
+    def test_growth_carries_the_mask(self, monkeypatch):
+        # The one meeting_mask of greedy_word is is_ulrich's; every step
+        # adds its new times to the mask it was given.
+        P = families.p_u(3)
+        assert len(P.type.lengths) == 3 and P.type.n >= 10
+        calls = []
+        mask = core.meeting_mask
+        monkeypatch.setattr(core, "meeting_mask",
+                            lambda blocks, hi: calls.append(hi) or
+                            mask(blocks, hi))
+        word = analysis.greedy_word(P).letters
+        assert len(calls) == 1
+        calls.clear()
+        assert analysis.replay(word, P.blocks[1]).as_partition() == P
+        assert calls == []
+
+    def test_wrong_step_raises_under_optimize(self):
+        code = textwrap.dedent("""
+            from ulrich import analysis, families
+            assert False, "asserts are stripped under -O"
+            grow = analysis._grow
+            def off_by_one(T, mask, letter):
+                step, mask = grow(T, mask, letter)
+                return analysis.Extension(step.triple, step.time,
+                                          step.value + 1, step.pre_ulrich,
+                                          step.clashes), mask
+            analysis._grow = off_by_one
+            try:
+                analysis.greedy_word(families.sporadic("222"))
+            except AssertionError as exc:
+                print("AssertionError:", exc)
+            """)
+        src = os.path.dirname(os.path.dirname(analysis.__file__))
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("AssertionError: greedy step")
 
     def test_roundtrip_exhaustive_small(self):
         for ft in helpers.all_types(12, max_blocks=3, min_blocks=3):

@@ -511,3 +511,18 @@ class TestFreshInterpreter:
              "--json"], capture_output=True, text=True, timeout=60)
         assert result.returncode == code, result.stderr
         assert json.loads(result.stdout)["command"] == argv[0]
+
+    def test_dead_worker_is_one_error_line(self):
+        # A worker that dies mid-sweep (as under the OOM killer) ends the
+        # command like any other failure: exit 2, one ``error:`` line.
+        run_main = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                    "from ulrich import cli, search; "
+                    "search._search_type_worker = lambda job: os._exit(3); "
+                    "sys.exit(cli.main(sys.argv[2:]))")
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", run_main, str(SRC), "verify",
+             "multistep", "5", "--threads", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines() == [
+            "error: a worker process died with exit code 3"]

@@ -1,5 +1,7 @@
 """Core model: partitions, meeting times, the Ulrich test, and the symmetries."""
 
+import pickle
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -132,6 +134,30 @@ class TestIsUlrich:
     def test_witness_matches_reference(self, P):
         # five blocks give pair distances d = 1..4, so times in quarters
         assert core.is_ulrich(P).witness == helpers.reference_witness(P)
+
+    def test_witness_found_once_when_read(self, monkeypatch):
+        calls = []
+        witness = core._witness_of
+        monkeypatch.setattr(core, "_witness_of",
+                            lambda P: calls.append(P) or witness(P))
+        P = core.parse_partition("5,3|0|-5")
+        assert not bool(core.is_ulrich(P))
+        assert calls == []
+        verdict = core.is_ulrich(P)
+        assert verdict.witness == verdict.witness == ("duplicate-time", 5)
+        assert calls == [P]
+
+    @given(helpers.blocked_partitions(max_blocks=5))
+    @settings(max_examples=100)
+    def test_unread_witness_is_a_plain_field(self, P):
+        # Each comparison starts from a fresh verdict, its witness unread.
+        built = core.UlrichVerdict(helpers.brute_is_ulrich(P),
+                                   helpers.reference_witness(P))
+        assert core.is_ulrich(P) == built
+        assert hash(core.is_ulrich(P)) == hash(built)
+        assert repr(core.is_ulrich(P)) == repr(built)
+        assert pickle.dumps(core.is_ulrich(P)) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(core.is_ulrich(P))) == built
 
     @given(helpers.blocked_partitions())
     @settings(max_examples=300)

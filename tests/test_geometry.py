@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +29,9 @@ from ulrich.geometry import (PolarizationWeights, SchurWeight, bundle_rank,
                              schur_dim_weyl, to_weight, twist,
                              ulrich_identity_check)
 
-from helpers import (blocked_partitions, count_ssyt, partitions,
-                     ulrich_members)
+from helpers import (all_types, blocked_partitions, count_ssyt, fresh_stdout,
+                     partitions, reference_flag_degree, reference_inversions,
+                     reference_schur_dim, ulrich_members)
 
 
 def euler_characteristic(w: SchurWeight, t: int) -> int:
@@ -128,6 +133,26 @@ class TestSchurDimensions:
                         assert schur_dim_weyl(mu, n) == want, (mu, n)
 
 
+    def test_matches_box_by_box_reference(self):
+        # Every weakly decreasing weight with 1-7 entries in [-3, 6], in
+        # GL(len) and, without negatives, in GL(7) (fewer rows than n).
+        for k in range(1, 8):
+            for mu in itertools.combinations_with_replacement(
+                    range(6, -4, -1), k):
+                for n in {k, 7} if mu[-1] >= 0 else {k}:
+                    assert schur_dim(mu, n) == reference_schur_dim(mu, n), (
+                        mu, n)
+
+    def test_long_rows_cost_little(self):
+        # Box by box this weight took over 10 s: one factor per box, on
+        # integers of up to 1.5 million bits.  Row runs take one math.perm.
+        out = fresh_stdout("from ulrich.geometry import schur_dim, "
+                           "schur_dim_weyl\n"
+                           "print(schur_dim((100000, 0), 2), "
+                           "schur_dim_weyl((100000, 0), 2))", timeout=10)
+        assert out.split() == ["100001", "100001"]
+
+
 class TestBundleRank:
     def test_paper_sized_example(self):
         P = parse_partition("5|3,-1,-2,-4|-5")
@@ -180,6 +205,22 @@ class TestBott:
     def test_singular_twist_vanishes(self):
         w = to_weight(parse_partition("1|0"))
         assert bwb_cohomology(w, 1) == geometry.CohomologyAnswer(None, 0, None)
+
+    def test_degree_counts_inversions(self):
+        # Every type with 2-3 blocks and n <= 5, every entry set in [-2, 4]
+        # and every twist t <= N + 1: Bott's degree q is the number of
+        # increasing pairs of P(t).
+        for ft in all_types(6, 2, 3):
+            if ft.n > 5:
+                continue
+            for entries in itertools.combinations(range(4, -3, -1), ft.n):
+                P = core.BlockedPartition(ft, entries)
+                w = to_weight(P)
+                for t in range(P.dimension + 2):
+                    v = [e for block in core.evolve(P, t) for e in block]
+                    if len(set(v)) == len(v):
+                        assert bwb_cohomology(w, t).degree == \
+                            reference_inversions(v), (P, t)
 
     @given(ulrich_members())
     @settings(max_examples=40, deadline=None)
@@ -279,9 +320,55 @@ class TestFlagGeometry:
                                    for k in range(N + 1))
                         assert flag_degree(ft, pol) == diff, (ft, a)
 
+    def test_degree_matches_pairwise_reference(self):
+        # Every type with 2-5 blocks and dimension <= 30, every
+        # polarization in {1, 2, 3}^r.
+        for ft in all_types(30, 2, 5):
+            for a in itertools.product((1, 2, 3), repeat=ft.r):
+                assert flag_degree(ft, PolarizationWeights(a)) == \
+                    reference_flag_degree(ft.lengths, a), (ft, a)
+
     def test_degree_needs_positive_blocks(self):
         with pytest.raises(ValueError, match="nonempty"):
             flag_degree(FlagType((2, 0, 1)))
+
+
+class TestChecksUnderOptimize:
+    def test_checks_raise_under_optimize(self):
+        # Hook-content against Weyl, and the exact divisions of schur_dim
+        # and flag_degree, are if/raise checks, kept under python -O.
+        code = textwrap.dedent("""
+            import math
+            from ulrich import geometry
+            from ulrich.core import FlagType, parse_partition
+            assert False, "asserts are stripped under -O"
+            def fails(call):
+                try:
+                    call()
+                except RuntimeError as exc:
+                    print(str(exc).split(",")[0])
+            weyl = geometry.schur_dim_weyl
+            geometry.schur_dim_weyl = lambda mu, n: weyl(mu, n) + 1
+            w = geometry.to_weight(parse_partition("4|3,0|-2"))
+            fails(lambda: geometry.bwb_cohomology(w))
+            geometry.schur_dim_weyl = weyl
+            sf = geometry._superfactorial
+            geometry._superfactorial = lambda k: sf(k) * 10007 ** (k == 0)
+            fails(lambda: geometry.flag_degree(FlagType((1, 2, 1))))
+            geometry._superfactorial = sf
+            perm = math.perm
+            math.perm = lambda m, k: perm(m, k) + 1
+            fails(lambda: geometry.schur_dim((2, 1), 3))
+            """)
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "hook-content vs Weyl mismatch",
+            "cross-pair product must be an integer",
+            "hook-content product must divide exactly"]
 
 
 class TestUlrichIdentity:

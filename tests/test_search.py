@@ -416,13 +416,14 @@ class TestPoolMap:
         assert not multiprocessing.active_children()
 
     def test_dead_worker_raises(self):
-        # A worker killed mid-job must not leave the caller waiting forever.
+        # A worker killed mid-job must not leave the caller waiting forever;
+        # its death is an OSError, which the CLI reports as one line.
         out = fresh_stdout("import os\n"
                            "from ulrich import search\n"
                            "jobs = [3, 3, 3]\n"
                            "try:\n"
                            "    list(search._pool_map(os._exit, jobs, 2))\n"
-                           "except RuntimeError as exc:\n"
+                           "except ChildProcessError as exc:\n"
                            "    print(exc)")
         assert "exit code 3" in out
 
