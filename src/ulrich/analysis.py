@@ -4,13 +4,12 @@ Three-block partitions (A|B|C) admit a greedy reconstruction: an Ulrich
 partition is grown from its middle block by repeatedly adding the entry that
 realizes the smallest still-uncovered meeting time, and the added value is
 forced (Extension rules below).  This module implements the growth step
-(``extend``), the greedy word of an Ulrich partition, the sumset
+(``_grow``), the greedy word of an Ulrich partition, the sumset
 reformulation for singleton middle blocks, and two boundary rules
 (trapezoid, rectangle) that relate a partition to its dual.
 
 ``greedy_word`` and ``replay`` carry the covered-time mask through the
-growth: each step adds only the new entry's meeting times to it, where
-``extend`` on its own first builds the mask of the whole triple.
+growth: each step adds only the new entry's meeting times to it.
 
 All formulas are phrased directly on entry values, which makes them
 independent of the velocity normalization used for display.
@@ -62,12 +61,6 @@ def triple_of(P: BlockedPartition) -> PreUlrichTriple:
     return PreUlrichTriple(a, b, c)
 
 
-def _mask(T: PreUlrichTriple) -> int:
-    """core.meeting_mask of the triple; no meeting time exceeds its span."""
-    top, bottom = (T.a or T.b)[0], (T.c or T.b)[-1]
-    return core.meeting_mask((T.a, T.b, T.c), top - bottom)
-
-
 def _parity_ok(T: PreUlrichTriple) -> bool:
     outer = T.a + T.c
     return all((x - outer[0]) % 2 == 0 for x in outer)
@@ -101,24 +94,14 @@ class Extension(Frozen):
         setattr_(self, "clashes", clashes)
 
 
-def extend(T: PreUlrichTriple, letter: str) -> Extension:
-    """Add the forced entry of block A (letter "a") or C (letter "c").
-
-    The new entry meets the triple at its first uncovered time.  Raises
-    ValueError when two pairs of T meet at the same time or a pair meets
-    at a fractional time: T has no first uncovered time then.
-    """
-    mask = _mask(T)
-    if mask < 0:
-        raise ValueError("triple has a fractional or repeated meeting time")
-    return _grow(T, mask, letter)[0]
-
-
 def _grow(T: PreUlrichTriple, mask: int, letter: str):
-    """The growth step of ``extend`` on T, whose ``_mask`` is ``mask`` >= 0.
+    """Add the forced entry of block A (letter "a") or C (letter "c") to T.
 
-    Returns the Extension and the candidate's ``_mask``: ``mask`` with the
-    new entry's times added, or -1 when one of them clashes.
+    ``mask`` >= 0 is T's covered-time mask, bit t set for each meeting time
+    t (``core.meeting_mask``).  The new entry meets the triple at its first
+    uncovered time.  Returns the Extension and the candidate's mask:
+    ``mask`` with the new entry's times added, or -1 when one of them
+    clashes.
     """
     t0 = _first_gap(mask)
     # At time t0 an entry x of block m (A, B, C for m = 0, 1, 2) sits at

@@ -81,21 +81,25 @@ def render_ascii(P: BlockedPartition) -> str:
     return "\n".join(lines)
 
 
-def render_svg(P: BlockedPartition, pitch: int = 12) -> str:
+# Pixels per unit of position and of time in ``render_svg``.
+_PITCH = 12
+
+
+def render_svg(P: BlockedPartition) -> str:
     """World lines as SVG; collision times carry a dot per coincident group."""
     table = evolution_table(P)
     lo = min(min(row) for row in table.rows)
     hi = max(max(row) for row in table.rows)
     tmax = len(table.rows) - 1
-    margin = pitch
-    w = (hi - lo) * pitch + 2 * margin
-    h = tmax * pitch + 2 * margin
+    margin = _PITCH
+    w = (hi - lo) * _PITCH + 2 * margin
+    h = tmax * _PITCH + 2 * margin
 
     def X(p):
-        return margin + (p - lo) * pitch
+        return margin + (p - lo) * _PITCH
 
     def Y(t):
-        return margin + t * pitch
+        return margin + t * _PITCH
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -114,7 +118,7 @@ def render_svg(P: BlockedPartition, pitch: int = 12) -> str:
         for group in table.coincidences(t):
             p = table.rows[t][group[0]]
             parts.append(
-                f'<circle cx="{X(p)}" cy="{Y(t)}" r="{pitch / 4}" '
+                f'<circle cx="{X(p)}" cy="{Y(t)}" r="{_PITCH / 4}" '
                 f'fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -95,20 +95,24 @@ def schur_dim(mu, n: int) -> int:
     Taken row by row: the contents of row i are n-i, ..., n-i+row-1, one
     ``math.perm``, and over the columns parts[k+1] <= j < parts[k], all of
     length k+1, the hooks of row i are consecutive integers, one
-    ``math.perm`` per run.  So the work grows with the number of rows, not
-    with the number of boxes.
+    ``math.perm`` per run.  The last row's hooks are row, ..., 1, so its
+    contents over its hooks are one ``math.comb``.  So the work grows with
+    the number of rows, not with the number of boxes.
     """
     parts = _normalize_weight(mu, n)
     if len(parts) > n:
         return 0
     below = parts[1:] + (0,)
     num = den = 1
-    for i, row in enumerate(parts):
+    for i, row in enumerate(parts[:-1]):
         num *= math.perm(n - i + row - 1, row)
         for k in range(i, len(parts)):
             # The hook of box (i, j) in a column of length k+1 is
             # row - j + k - i; j runs from below[k] up to parts[k] - 1.
             den *= math.perm(row - below[k] + k - i, parts[k] - below[k])
+    if parts:
+        i = len(parts) - 1
+        num *= math.comb(n - i + parts[i] - 1, parts[i])
     dim, rem = divmod(num, den)
     if rem:
         raise RuntimeError("hook-content product must divide exactly")

@@ -52,19 +52,16 @@ Two independent engines:
   or v - x; once the block's extremes put them all in [t0, N], the whole
   set of time bits is one right shift of a mask, and a clash is one AND
   with the covered times.  The tests pin the node count of several types
-  and digests of the visiting order, and a node limit stops the walk at
-  exactly that node.
+  and digests of the visiting order.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
 
-``SearchLimits`` mean the same for any number of workers.  ``max_nodes``
-caps the nodes of the whole tree: a report is ``completed`` exactly when
-the serial search finishes within the cap.  ``budget_seconds`` bounds the
-whole search.  Every walk, serial, split prefix or subtree, reads the clock
+``SearchLimits.budget_seconds`` bounds the whole search, with any number
+of workers.  Every walk, serial, split prefix or subtree, reads the clock
 at its first node and then every 1024 nodes, and nowhere else; so a spent
 budget stops each walk at its root, and a split search stops at the first
-subtree a limit stopped.  A sweep gives these limits to each type.
+subtree the budget stopped.  A sweep gives the budget to each type.
 ``_pool_map`` is the one runner of worker processes: forked workers, each
 on its own pipe, fed from the calling thread with no helper thread.  A
 worker that dies is an error, not a hang, and no worker outlives the
@@ -107,18 +104,16 @@ from .core import BlockedPartition, FlagType, Frozen
 
 
 class SearchLimits(Frozen):
-    """Resource caps for a search; None means unlimited.
+    """The time budget of a search; None means unlimited.
 
-    ``budget_seconds`` is a real number of seconds >= 0 (not NaN) and
-    ``max_nodes`` an int >= 0; anything else raises ValueError here, before
-    a search could misread it.
+    ``budget_seconds`` is a real number of seconds >= 0 (not NaN); anything
+    else raises ValueError here, before a search could misread it.
     """
 
-    __slots__ = ("budget_seconds", "max_nodes")
+    __slots__ = ("budget_seconds",)
     _fields = __slots__
 
-    def __init__(self, budget_seconds: float | None = None,
-                 max_nodes: int | None = None):
+    def __init__(self, budget_seconds: float | None = None):
         if budget_seconds is not None:
             import numbers
             # NaN >= 0 is False, so NaN fails too.
@@ -126,24 +121,17 @@ class SearchLimits(Frozen):
                     and budget_seconds >= 0):
                 raise ValueError("budget_seconds must be at least 0 or None, "
                                  f"got {budget_seconds!r}")
-        if max_nodes is not None and not (
-                isinstance(max_nodes, int) and not isinstance(max_nodes, bool)
-                and max_nodes >= 0):
-            raise ValueError("max_nodes must be at least 0 (an int) or None, "
-                             f"got {max_nodes!r}")
         object.__setattr__(self, "budget_seconds", budget_seconds)
-        object.__setattr__(self, "max_nodes", max_nodes)
 
 
 class SearchReport(Frozen):
     """Outcome of one type search.
 
-    ``completed`` is False when a resource limit stopped the search early, in
-    which case ``classes`` is a lower bound, not a classification.  A search
-    stopped by ``max_nodes`` reports ``max_nodes + 1`` nodes.  A budget
-    that stops a search with ``workers > 1`` leaves ``nodes`` a lower bound
-    too, which varies from run to run: the subtrees still running in other
-    workers are killed and their nodes are not counted.
+    ``completed`` is False when the time budget stopped the search early,
+    in which case ``classes`` and ``nodes`` are lower bounds, not a
+    classification.  With ``workers > 1`` they vary from run to run: the
+    subtrees still running in other workers are killed and their nodes are
+    not counted.
 
     ``nodes`` is the size of the type's search tree.  For a palindromic
     type one mirror half of it is counted, not walked
@@ -175,10 +163,12 @@ class SearchReport(Frozen):
 
 
 class BudgetExhausted(Exception):
-    """Raised internally when a limit trips; callers receive completed=False."""
+    """Raised internally when the budget trips; callers receive
+    completed=False."""
 
 
-# A node count no search reaches: the next limit check when there are none.
+# A node count no search reaches: the next clock read when there is no
+# deadline.
 _NEVER = 1 << 62
 
 
@@ -326,7 +316,7 @@ def _type_tables(lengths):
     return N, shifts, pairs, later, earlier, far
 
 
-def _walk(lengths, state, depth, deadline, max_nodes):
+def _walk(lengths, state, depth, deadline):
     """Search every completion of a partial placement, depth first.
 
     ``state`` is a snapshot (det, covered, placed), or None for the empty
@@ -346,8 +336,9 @@ def _walk(lengths, state, depth, deadline, max_nodes):
 
     Returns (found, frontier, nodes, completed): the canonical blocks of
     each class found, the snapshots, the node count, and whether the walk
-    ran to the end.  A limit stops the walk with the classes found so far
-    and no snapshots.
+    ran to the end.  Past ``deadline`` the walk stops with the classes
+    found so far and no snapshots: the clock is read at the first node and
+    then every 1024 nodes, and nowhere else.
     """
     R = len(lengths)
     N, shifts, pairs, later, earlier, far = _type_tables(lengths)
@@ -380,22 +371,8 @@ def _walk(lengths, state, depth, deadline, max_nodes):
     fwd = [sum(1 << (v + OFF) for v in blk) for blk in det]
     rev = [sum(1 << (OFF - v) for v in blk) for blk in det]
     nodes = 0
-    due = 1
-
-    def tick(nodes):
-        """Check the limits at node count ``nodes``; return the next count due.
-
-        The node cap is exact.  The clock is read at the first node and then
-        every 1024 nodes; nowhere else is it compared with the deadline.
-        """
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetExhausted
-        due = _NEVER if max_nodes is None else max_nodes + 1
-        if deadline is not None:
-            if time.monotonic() > deadline:
-                raise BudgetExhausted
-            due = min(due, (nodes // 1024 + 1) * 1024)
-        return due
+    # The node count at which the clock is read next.
+    due = _NEVER if deadline is None else 1
 
     def record():
         blocks = [sorted(block, reverse=True) for block in det]
@@ -484,7 +461,9 @@ def _walk(lengths, state, depth, deadline, max_nodes):
         nonlocal nodes, due
         nodes += 1
         if nodes >= due:
-            due = tick(nodes)
+            if time.monotonic() > deadline:
+                raise BudgetExhausted
+            due = (nodes // 1024 + 1) * 1024
         if placed >= stop:
             if placed == total:
                 record()
@@ -744,9 +723,8 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     ``nodes`` is thus the size of the whole tree.
 
     With any number of workers the report is ``completed`` exactly when
-    the tree has at most ``max_nodes`` nodes and was searched within
-    ``budget_seconds``; it then has the serial node count and classes.  A
-    search stopped by the cap reports ``max_nodes + 1`` nodes.
+    the tree was searched within ``budget_seconds``; it then has the serial
+    node count and classes.
     """
     ft = FlagType(ft.lengths)
     if not ft.all_positive:
@@ -755,7 +733,6 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     start = time.monotonic()
     deadline = (start + limits.budget_seconds
                 if limits.budget_seconds is not None else None)
-    cap = limits.max_nodes
     lengths = ft.lengths
     R = len(lengths)
     palindrome = lengths == lengths[::-1]
@@ -765,16 +742,13 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     else:
         # A serial search is split only to halve a palindrome's tree.
         depth = 2 if palindrome else None
-    found, states, nodes, completed = _walk(lengths, None, depth, deadline,
-                                            cap)
-    # A subtree may take the nodes left under the cap plus its own root.
-    sub_cap = None if cap is None else cap - nodes + 1
+    found, states, nodes, completed = _walk(lengths, None, depth, deadline)
     jobs = []
     for state in states:
         i, j = (b for b in range(R) if R - 1 - b in state[0][b])
         if not palindrome or i + j <= R - 1:
             jobs.append((palindrome and i + j < R - 1,
-                         (lengths, state, None, deadline, sub_cap)))
+                         (lengths, state, None, deadline)))
     with contextlib.closing(
             _pool_map(_subtree_worker, jobs, workers)) as results:
         for twin, (sub_found, _, sub_nodes, sub_done) in results:
@@ -783,11 +757,9 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
             if twin:
                 found.extend(map(_mirror_blocks, sub_found))
                 nodes += sub_nodes - 1
-            if not sub_done or (cap is not None and nodes > cap):
+            if not sub_done:
                 completed = False
                 break
-    if cap is not None and nodes > cap:
-        nodes = cap + 1
     # Within one type, block tuples sort as their flattened entries do.
     unique = sorted(set(found))
     if len(unique) != len(found):
@@ -810,9 +782,9 @@ def _types_with_blocks(num_blocks: int, total: int):
 
 
 def _search_type_worker(args):
-    lengths, budget_seconds, max_nodes = args
-    limits = SearchLimits(budget_seconds=budget_seconds, max_nodes=max_nodes)
-    return time_branching_search(FlagType(lengths), limits, workers=1)
+    lengths, budget_seconds = args
+    return time_branching_search(FlagType(lengths),
+                                 SearchLimits(budget_seconds), workers=1)
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
@@ -863,7 +835,7 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
     """Search many types on ``workers`` processes, with JSONL checkpointing.
 
     Returns {lengths: SearchReport} for exactly the given types.  A type
-    whose checkpointed report was stopped by a limit is searched again.  A
+    whose checkpointed report was stopped by the budget is searched again.  A
     type whose reversed type is also requested is derived from it by
     ``_mirror_report``, after the searches, when the reverse already has a
     completed report or when both are pending and this type is the
@@ -883,7 +855,7 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
         if mirror != lengths and mirror in requested and (
                 mirror not in waiting or lengths < mirror):
             derived[lengths] = mirror
-    jobs = [(lengths, limits.budget_seconds, limits.max_nodes)
+    jobs = [(lengths, limits.budget_seconds)
             for lengths in pending if lengths not in derived]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
 

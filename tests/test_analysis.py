@@ -15,6 +15,17 @@ from ulrich.analysis import PreUlrichTriple
 from ulrich.core import FlagType
 
 
+def mask_of(T):
+    """core.meeting_mask of the triple; no meeting time exceeds its span."""
+    top, bottom = (T.a or T.b)[0], (T.c or T.b)[-1]
+    return core.meeting_mask((T.a, T.b, T.c), top - bottom)
+
+
+def grow(T, letter):
+    """The growth step on T, whose meeting times are distinct integers."""
+    return analysis._grow(T, mask_of(T), letter)[0]
+
+
 class TestTriples:
     def test_validation(self):
         with pytest.raises(ValueError, match="middle block"):
@@ -31,15 +42,12 @@ class TestTriples:
         T = PreUlrichTriple((4,), (3, 0), (-2,))
         assert analysis.replay("ac", (3, 0)) == T
         assert T.as_partition().dimension == 5
-        assert analysis.extend(T, "a").time == 6
+        assert grow(T, "a").time == 6
 
     def test_parity_breaks_pre_ulrich(self):
         # A and C entries of different parity meet at a half-integer time,
         # so the triple has no first uncovered time to grow at.
-        T = PreUlrichTriple((4,), (0,), (-3,))
-        for letter in "ac":
-            with pytest.raises(ValueError, match="fractional"):
-                analysis.extend(T, letter)
+        assert mask_of(PreUlrichTriple((4,), (0,), (-3,))) == -1
 
     def test_triple_of(self):
         P = core.parse_partition("8,6|5,0|-2")
@@ -53,7 +61,7 @@ class TestTriples:
 class TestGrowthSteps:
     def test_add_a_first_step(self):
         T = PreUlrichTriple((), (5, 0), ())
-        step = analysis.extend(T, "a")
+        step = grow(T, "a")
         assert (step.time, step.value) == (1, 6)
         assert step.pre_ulrich and step.clashes == ()
         assert step.triple.a == (6,)
@@ -62,7 +70,7 @@ class TestGrowthSteps:
         # At time t0 the new c entry must sit t0 below b (speed 1) or 2*t0
         # below a (speed 2), whichever is lower.
         T = PreUlrichTriple((6,), (5, 0), ())
-        step = analysis.extend(T, "c")
+        step = grow(T, "c")
         assert step.time == 2
         assert step.value == min(6 - 4, 5 - 2, 0 - 2) == -2
 
@@ -70,7 +78,7 @@ class TestGrowthSteps:
         # After growing one a over B = (2, 0), the forced c entry would meet
         # the a entry at the half-integral time 5/2.
         T = analysis.replay("a", (2, 0))
-        step = analysis.extend(T, "c")
+        step = grow(T, "c")
         assert not step.pre_ulrich
         assert Fraction(5, 2) in step.clashes
 
@@ -78,7 +86,7 @@ class TestGrowthSteps:
         # A second a entry lands at the wrong parity: no time clash, but the
         # triple stops being pre-Ulrich.
         T = analysis.replay("a", (0,))
-        step = analysis.extend(T, "a")
+        step = grow(T, "a")
         assert not step.pre_ulrich and step.clashes == ()
 
     def test_replay_word_reconstructs_known(self):
@@ -99,13 +107,10 @@ class TestGrowthSteps:
         with pytest.raises(ValueError, match="letter"):
             analysis.replay("x", (0,))
 
-    def test_repeated_time_raises(self):
+    def test_repeated_time_has_no_mask(self):
         # a - b, (a - c)/2 and b - c all equal 2: integral but repeated, so
         # the triple has no first uncovered time, as with a fractional time.
-        T = PreUlrichTriple((4,), (2,), (0,))
-        for letter in "ac":
-            with pytest.raises(ValueError, match="repeated"):
-                analysis.extend(T, letter)
+        assert mask_of(PreUlrichTriple((4,), (2,), (0,))) == -1
 
     @given(helpers.triples())
     @example(PreUlrichTriple((3,), (0,), (-2,)))      # fractional time 5/2
@@ -114,16 +119,17 @@ class TestGrowthSteps:
     @example(PreUlrichTriple((2,), (0,), ()))         # grows into a clash
     @settings(max_examples=400)
     def test_growth_matches_reference(self, T):
+        mask = mask_of(T)
         for letter in "ac":
             try:
                 want = helpers.reference_extension(T, letter)
             except ValueError:
-                with pytest.raises(ValueError):
-                    analysis.extend(T, letter)
+                assert mask == -1
                 continue
-            got = analysis.extend(T, letter)
+            got, grown_mask = analysis._grow(T, mask, letter)
             assert (got.time, got.value, got.pre_ulrich, got.clashes,
                     got.triple) == want
+            assert grown_mask == mask_of(got.triple)
 
 
 class TestGreedyWord:

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,21 @@ class TestSchurDimensions:
                            "print(schur_dim((100000, 0), 2), "
                            "schur_dim_weyl((100000, 0), 2))", timeout=10)
         assert out.split() == ["100001", "100001"]
+
+    def test_last_row_is_one_binomial(self, monkeypatch):
+        # The last row's contents over its hooks are one math.comb, so a
+        # one-row shape multiplies out no falling factorial: "100000|0"
+        # once took two math.perm products of about 100000 factors each.
+        calls = []
+        monkeypatch.setattr(geometry, "math", types.SimpleNamespace(
+            comb=math.comb,
+            perm=lambda *args: calls.append(args) or math.perm(*args)))
+        assert schur_dim((100000, 0), 2) == 100001
+        assert schur_dim((5,), 3) == math.comb(7, 5)
+        assert calls == []
+        # Row 0 of (2, 1): its contents and its two column runs.
+        assert schur_dim((2, 1), 3) == 8
+        assert len(calls) == 3
 
 
 class TestBundleRank:

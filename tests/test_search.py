@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 
 import pytest
 
@@ -166,14 +167,18 @@ class TestSearchTree:
         assert parallel.classes == serial.classes
         assert parallel.nodes == serial.nodes
 
-    def test_node_cap_is_exact(self):
-        ft = FlagType((2, 8, 1))
-        for cap in (10, 1024, 3405):
-            report = time_branching_search(ft, SearchLimits(max_nodes=cap))
-            assert not report.completed
-            assert report.nodes == cap + 1
-        report = time_branching_search(ft, SearchLimits(max_nodes=3406))
-        assert report.completed and report.nodes == 3406
+    def test_clock_read_at_node_one_then_every_1024(self, monkeypatch):
+        # A clock that reads 0, 1, 2, ...: the search reads it at its start
+        # (deadline 2.5), the walk at nodes 1, 1024 and 2048, where 3 is
+        # past the deadline, and the search once more for ``elapsed``.
+        reads = itertools.count()
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(
+            monotonic=lambda: next(reads)))
+        report = time_branching_search(FlagType((2, 8, 1)),
+                                       SearchLimits(budget_seconds=2.5))
+        assert (report.nodes, report.completed, report.count) == (
+            2048, False, 3)
+        assert next(reads) == 5
 
     @staticmethod
     def walk_digest(types):
@@ -182,8 +187,8 @@ class TestSearchTree:
         h = hashlib.sha256()
         for lengths in types:
             found, _, nodes, completed = search._walk(lengths, None, None,
-                                                      None, None)
-            frontier = search._walk(lengths, None, 4, None, None)[1]
+                                                      None)
+            frontier = search._walk(lengths, None, 4, None)[1]
             frontier = [(tuple(map(tuple, det)), covered, placed)
                         for det, covered, placed in frontier]
             h.update(repr((lengths, found, nodes, completed,
@@ -230,8 +235,7 @@ def full_walks():
     """{lengths: (classes, nodes, completed)} of the full single walk."""
     out = {}
     for lengths in PALINDROMES:
-        found, _, nodes, completed = search._walk(lengths, None, None,
-                                                  None, None)
+        found, _, nodes, completed = search._walk(lengths, None, None, None)
         classes = tuple(sorted(map(core.from_blocks, found),
                                key=lambda P: P.entries))
         out[lengths] = classes, nodes, completed
@@ -248,40 +252,6 @@ class TestPalindromeHalving:
             report = time_branching_search(FlagType(lengths), workers=workers)
             assert ((report.classes, report.nodes, report.completed)
                     == full_walks[lengths]), lengths
-
-    def test_node_cap_is_exact(self):
-        # (2,8,2) has 10,884 nodes: the root, the gauges (0, 1), (0, 2) and
-        # (1, 2) with subtrees of 5,439, 5 and 5,439 nodes.  Node 10,884 of
-        # the full walk lies under (1, 2), which is counted, not walked.
-        ft = FlagType((2, 8, 2))
-        for cap in (10, 5000, 10883):
-            report = time_branching_search(ft, SearchLimits(max_nodes=cap))
-            assert report.completed is False
-            assert report.nodes == cap + 1
-
-    @pytest.mark.parametrize("lengths", [(2, 8, 2), (2, 8, 1)])
-    def test_node_cap_is_exact_with_workers(self, lengths):
-        for cap in (10, 3000):
-            report = time_branching_search(
-                FlagType(lengths), SearchLimits(max_nodes=cap), workers=2)
-            assert (report.nodes, report.completed) == (cap + 1, False)
-
-    def test_cap_passed_by_the_count_of_a_mirror(self, monkeypatch):
-        walks = []
-        walk = search._walk
-
-        def recording(*args):
-            result = walk(*args)
-            walks.append(result[2:])
-            return result
-
-        monkeypatch.setattr(search, "_walk", recording)
-        report = time_branching_search(FlagType((2, 8, 2)),
-                                       SearchLimits(max_nodes=8000))
-        # The prefix and the walk under (0, 1) finish within the cap; the
-        # 5,438 nodes counted for its mirror pass it.
-        assert walks == [(4, True), (5439, True)]
-        assert (report.nodes, report.completed) == (8001, False)
 
     @pytest.mark.parametrize("lengths", [(2, 4, 2), (1, 2, 2, 1),
                                          (1, 1, 3, 1, 1), (1,) * 6])
@@ -472,10 +442,17 @@ class TestPoolMap:
         assert not multiprocessing.active_children()
         assert time.monotonic() - start < 30
 
-    def test_capped_split_search_leaves_no_worker(self):
+    def test_stopped_split_search_leaves_no_worker(self, monkeypatch):
+        # A clock that reads 0, 1, 2, ... in each process: the parent reads
+        # 0 and 1, and each forked worker 2 at the root of its first
+        # subtree and 3, past the deadline, at its 1024th node or the root
+        # of its next subtree.
+        reads = itertools.count()
+        monkeypatch.setattr(search, "time", types.SimpleNamespace(
+            monotonic=lambda: next(reads)))
         report = time_branching_search(
-            FlagType((2, 8, 2)), SearchLimits(max_nodes=5000), workers=2)
-        assert (report.completed, report.nodes) == (False, 5001)
+            FlagType((2, 8, 2)), SearchLimits(budget_seconds=2.5), workers=2)
+        assert report.completed is False
         assert not multiprocessing.active_children()
 
     def test_sweep_starts_no_helper_thread(self):
@@ -489,30 +466,15 @@ class TestPoolMap:
 
 
 class TestLimits:
-    def test_node_cap_reports_incomplete(self):
-        limits = SearchLimits(max_nodes=10)
-        report = time_branching_search(FlagType((2, 4, 2)), limits)
-        assert not report.completed
-        assert report.nodes <= 11
-
     def test_time_cap_reports_incomplete(self):
         limits = SearchLimits(budget_seconds=1e-4)
         report = time_branching_search(FlagType((2, 8, 2)), limits)
         assert not report.completed
 
-    # The limits mean the same with one worker and with several: (2,8,2)
-    # has 10,884 nodes, and (1,10,1) has 4,004 in subtrees of fewer than
-    # 1024 nodes each.  Every walk reads the clock at its root, so a spent
-    # budget stops the serial search, or the split prefix, at node 1.
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("cap", [5000, 10883, 10884])
-    def test_node_cap_counts_whole_tree(self, cap, workers):
-        report = time_branching_search(
-            FlagType((2, 8, 2)), SearchLimits(max_nodes=cap), workers)
-        assert report.completed == (cap >= 10884)
-        if report.completed:
-            assert (report.nodes, report.count) == (10884, 2)
+    # The budget means the same with one worker and with several: (1,10,1)
+    # has 4,004 nodes in subtrees of fewer than 1024 nodes each.  Every walk
+    # reads the clock at its root, so a spent budget stops the serial
+    # search, or the split prefix, at node 1.
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_budget_stops_at_first_clock_read(self, workers):
@@ -523,35 +485,24 @@ class TestLimits:
             assert report.nodes == 1
 
     def test_generous_limits_complete(self):
-        limits = SearchLimits(budget_seconds=60, max_nodes=10 ** 7)
+        limits = SearchLimits(budget_seconds=60)
         report = time_branching_search(FlagType((2, 2, 2)), limits)
         assert report.completed
         assert report.count == 2
 
-    # A limit the search would misread is refused where it is made: a NaN
-    # budget never trips, a negative cap reported 0 nodes, and a float cap
-    # reported a float node count that a sweep's own checkpoint rejected.
+    # A budget the search would misread is refused where it is made: a NaN
+    # budget never trips.
 
     @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5, "1", 1j])
     def test_bad_budget_refused(self, budget):
         with pytest.raises(ValueError, match="budget_seconds must be at least"):
             SearchLimits(budget_seconds=budget)
 
-    @pytest.mark.parametrize("cap", [-1, 2.5, 3.0, True, "10"])
-    def test_bad_node_cap_refused(self, cap):
-        with pytest.raises(ValueError, match="max_nodes must be at least"):
-            SearchLimits(max_nodes=cap)
-
-    def test_float_cap_refused_before_a_sweep(self):
-        with pytest.raises(ValueError, match="max_nodes"):
-            verify_no_multistep(5, SearchLimits(max_nodes=2.5))
-
     def test_edge_limits_accepted(self):
-        assert SearchLimits(budget_seconds=0, max_nodes=0).max_nodes == 0
-        assert SearchLimits(budget_seconds=float("inf")).budget_seconds > 0
-        report = time_branching_search(FlagType((2, 2, 2)),
-                                       SearchLimits(max_nodes=0))
-        assert (report.completed, report.nodes) == (False, 1)
+        assert SearchLimits(budget_seconds=0).budget_seconds == 0
+        limits = SearchLimits(budget_seconds=float("inf"))
+        report = time_branching_search(FlagType((2, 2, 2)), limits)
+        assert (report.completed, report.count) == (True, 2)
 
 
 class TestReportSerialization:
@@ -678,13 +629,17 @@ class TestSweeps:
         with open(path) as fh:
             assert sum(1 for line in fh if line.strip()) == 6
 
-    def test_stopped_report_is_searched_again(self, tmp_path):
+    def test_stopped_report_is_searched_again(self, tmp_path, monkeypatch):
+        # A finished checkpoint, then a later line that reports (3,4,3)
+        # stopped: only (3,4,3) is searched again.
         path = str(tmp_path / "sweep.jsonl")
-        stopped = verify_conjecture_sweep(
-            10, SearchLimits(max_nodes=500), checkpoint_path=path)
-        assert not stopped[(3, 4, 3)].completed
+        fresh = verify_conjecture_sweep(10, checkpoint_path=path)
+        stopped = search.SearchReport(FlagType((3, 4, 3)), (), 1, 0.0, False)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(report_to_dict(stopped)) + "\n")
+        searched = _count_searches(monkeypatch)
         resumed = verify_conjecture_sweep(10, checkpoint_path=path)
-        fresh = verify_conjecture_sweep(10)
+        assert searched == [(3, 4, 3)]
         assert all(report.completed for report in resumed.values())
         assert ({k: r.nodes for k, r in resumed.items()}
                 == {k: r.nodes for k, r in fresh.items()})
@@ -808,13 +763,13 @@ class TestMirrorDerivation:
     def test_stopped_source_redoes_both(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
         stopped = verify_conjecture_sweep(
-            10, SearchLimits(max_nodes=400), checkpoint_path=path)
+            10, SearchLimits(budget_seconds=0), checkpoint_path=path)
         assert not stopped[(4, 3, 3)].completed
         assert not stopped[(3, 3, 4)].completed
         assert stopped[(3, 3, 4)].mirror_of == (4, 3, 3)
         searched = _count_searches(monkeypatch)
         resumed = verify_conjecture_sweep(10, checkpoint_path=path)
-        assert sorted(searched) == [(3, 4, 3), (4, 3, 3)]
+        assert sorted(searched) == [(3, 3, 3), (3, 4, 3), (4, 3, 3)]
         assert all(r.completed for r in resumed.values())
         assert (resumed[(3, 3, 4)].nodes, resumed[(3, 3, 4)].mirror_of) \
             == (456, (4, 3, 3))
@@ -829,13 +784,13 @@ class TestMirrorDerivation:
         assert result[(3, 3, 4)].mirror_of is None
         assert result[(3, 3, 4)].nodes == 456
 
-    @pytest.mark.parametrize("cap", [455, 456])
-    def test_same_cap_same_completed(self, cap):
-        limits = SearchLimits(max_nodes=cap)
+    @pytest.mark.parametrize("budget", [0, None])
+    def test_same_budget_same_completed(self, budget):
+        limits = SearchLimits(budget_seconds=budget)
         result = search._run_type_sweep(
             [FlagType((3, 3, 4)), FlagType((4, 3, 3))], limits, 1)
         derived, source = result[(3, 3, 4)], result[(4, 3, 3)]
         assert derived.mirror_of == (4, 3, 3)
-        assert derived.completed == source.completed == (cap >= 456)
+        assert derived.completed == source.completed == (budget is None)
         direct = time_branching_search(FlagType((3, 3, 4)), limits)
         assert derived.completed == direct.completed

@@ -32,7 +32,7 @@ SAMPLES = [
                                  entries=(5, 3, -1, -2, -4, -5))),
     (core.UlrichVerdict, dict(is_ulrich=False,
                               witness=("missing-time", Fraction(3)))),
-    (search.SearchLimits, dict(budget_seconds=1.5, max_nodes=10)),
+    (search.SearchLimits, dict(budget_seconds=1.5)),
     (search.SearchReport, dict(type=FlagType((1, 4, 1)), classes=(_P,),
                                nodes=7, elapsed=0.25, completed=True,
                                mirror_of=(1, 4, 1))),
@@ -118,7 +118,7 @@ class TestContract:
 
     def test_keyword_defaults(self):
         assert search.SearchLimits() == search.SearchLimits(
-            budget_seconds=None, max_nodes=None)
+            budget_seconds=None)
         report = search.SearchReport(type=FlagType((1, 1)), classes=(),
                                      nodes=1, elapsed=0.0, completed=True)
         assert report.mirror_of is None
