@@ -1,32 +1,14 @@
 """Ulrich partitions: classification, structure theory, and geometry checks.
 
-``import ulrich`` loads ``core`` and re-exports its names.  The other
-submodules, ``analysis``, ``diagram``, ``families``, ``geometry`` and
-``search``, load on first use: ``ulrich.search`` imports ``search`` then
-(PEP 562), as does ``from ulrich import search``.  A CLI start thus loads
-only what its command runs.
+``import ulrich`` loads no submodule.  Each of ``analysis``, ``core``,
+``diagram``, ``families``, ``geometry`` and ``search`` loads on first use:
+``ulrich.search`` imports ``search`` then (PEP 562), as does ``from ulrich
+import search``.  A CLI start thus loads only what its command runs.
 """
 
 __version__ = "0.1.0"
 
-from . import core  # noqa: F401
-from .core import (  # noqa: F401
-    BlockedPartition,
-    FlagType,
-    UlrichVerdict,
-    canonicalize,
-    congruence_ok,
-    dual,
-    evolve,
-    format_partition,
-    from_blocks,
-    is_ulrich,
-    parse_partition,
-    shift,
-    symmetric,
-)
-
-_LAZY = ("analysis", "diagram", "families", "geometry", "search")
+_LAZY = ("analysis", "core", "diagram", "families", "geometry", "search")
 
 
 def __getattr__(name):

@@ -54,9 +54,10 @@ class PreUlrichTriple(Frozen):
 
 
 def triple_of(P: BlockedPartition) -> PreUlrichTriple:
-    """View a three-block partition as a triple."""
-    if len(P.type.lengths) != 3:
-        raise ValueError("expected a three-block partition")
+    """View a three-block partition with no empty block as a triple."""
+    if len(P.type.lengths) != 3 or not P.type.all_positive:
+        raise ValueError("expected a three-block partition with no empty "
+                         "block")
     a, b, c = P.blocks
     return PreUlrichTriple(a, b, c)
 

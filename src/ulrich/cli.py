@@ -103,21 +103,15 @@ def _cmd_diagram(args) -> int:
             with open(args.svg, "w") as fh:
                 fh.write(text)
     table = diagram.evolution_table(P)
-    if args.json:
-        import json
-        payload = {
-            "schema": 1,
-            "command": "diagram",
-            "partition": core.format_partition(P),
-            "velocities": list(table.velocities),
-            "rows": [list(row) for row in table.rows],
-            "coincidences": {
-                str(t): [list(g) for g in groups]
-                for t in table.times if (groups := table.coincidences(t))},
-        }
-        print(json.dumps(payload))
-    elif args.svg is None:
-        print(diagram.render_ascii(P))
+    _emit(args, {
+        "command": "diagram",
+        "partition": core.format_partition(P),
+        "velocities": list(table.velocities),
+        "rows": [list(row) for row in table.rows],
+        "coincidences": {
+            str(t): [list(g) for g in groups]
+            for t in table.times if (groups := table.coincidences(t))},
+    }, [] if args.svg is not None else [diagram.render_ascii(P)])
     return EXIT_OK
 
 
@@ -207,7 +201,7 @@ def _cmd_analyze(args) -> int:
         D = core.dual(P)
         payload["dual"] = core.format_partition(D)
         lines.append(f"dual: {core.format_partition(D)}")
-    if len(P.type.lengths) == 3 and verdict:
+    if len(P.type.lengths) == 3 and P.type.all_positive and verdict:
         word = analysis.greedy_word(P).letters
         payload["greedy_word"] = word
         lines.append(f"greedy word: {word}")
@@ -238,13 +232,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     from . import search
     limits = _limits(args)
-    # (default bound, least bound that selects a type): a sweep over no
-    # type would report HOLDS having searched nothing.
-    default, least = {"multistep": (7, 4), "conjecture": (10, 9)}[args.claim]
-    bound = default if args.bound is None else args.bound
-    if bound < least:
-        raise _usage(f"verify {args.claim} needs a bound of at least {least}, "
-                     f"got {bound}")
+    bound = args.bound
+    if bound is None:
+        bound = {"multistep": 7, "conjecture": 10}[args.claim]
     if args.claim == "multistep":
         done = search.verify_no_multistep(bound, limits, args.threads,
                                           args.checkpoint)

@@ -355,16 +355,17 @@ def dual(P: BlockedPartition) -> BlockedPartition:
 def congruence_ok(P: BlockedPartition) -> bool:
     """Necessary condition: entries of blocks i and j agree mod (j - i).
 
-    Any failing pair of entries would meet at a non-integral time, so this is
-    implied by (and much cheaper than) the full Ulrich test.  ``ulrich
-    analyze`` reports it; the search folds the same congruences into the
-    residues of its pair move instead of calling this.
+    An empty block agrees with any other.  Any failing pair of entries would
+    meet at a non-integral time, so this is implied by (and much cheaper
+    than) the full Ulrich test.  ``ulrich analyze`` reports it; the search
+    folds the same congruences into the residues of its pair move instead
+    of calling this.
     """
     blocks = P.blocks
     for bi in range(len(blocks)):
         for bj in range(bi + 2, len(blocks)):
             d = bj - bi
             residues = {e % d for e in blocks[bi]} | {e % d for e in blocks[bj]}
-            if len(residues) > 1:
+            if len(residues) > 1 and blocks[bi] and blocks[bj]:
                 return False
     return True

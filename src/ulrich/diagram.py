@@ -24,19 +24,22 @@ class EvolutionTable(Frozen):
     position of entry i at time t.
     """
 
-    __slots__ = ("partition", "velocities", "rows")
+    __slots__ = ("velocities", "rows")
     _fields = __slots__
 
-    def __init__(self, partition: BlockedPartition,
-                 velocities: tuple[int, ...],
+    def __init__(self, velocities: tuple[int, ...],
                  rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "rows", rows)
 
     @property
     def times(self) -> range:
         return range(len(self.rows))
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """The least and the greatest position at any time."""
+        return min(map(min, self.rows)), max(map(max, self.rows))
 
     def coincidences(self, t: int) -> tuple[tuple[int, ...], ...]:
         """Groups of entry indices sharing a position at time t (size >= 2)."""
@@ -59,24 +62,24 @@ def evolution_table(P: BlockedPartition) -> EvolutionTable:
     N = P.dimension
     rows = tuple(tuple(e + t * v for e, v in zip(P.entries, velocities))
                  for t in range(N + 2))
-    return EvolutionTable(P, velocities, rows)
+    return EvolutionTable(velocities, rows)
 
 
 def render_ascii(P: BlockedPartition) -> str:
     """One row per time; 'o' is an entry, '#' a coincidence of two or more."""
     table = evolution_table(P)
-    lo = min(min(row) for row in table.rows)
-    hi = max(max(row) for row in table.rows)
+    lo, hi = table.span
     width = hi - lo + 1
     lines = []
     for t in table.times:
+        row = table.rows[t]
         strip = [" "] * width
-        seen: dict[int, int] = {}
-        for p in table.rows[t]:
-            seen[p] = seen.get(p, 0) + 1
-        for p, count in seen.items():
-            strip[p - lo] = "o" if count == 1 else "#"
-        marker = "*" if table.coincidences(t) else " "
+        for p in row:
+            strip[p - lo] = "o"
+        groups = table.coincidences(t)
+        for group in groups:
+            strip[row[group[0]] - lo] = "#"
+        marker = "*" if groups else " "
         lines.append(f"t={t:>3}{marker} {''.join(strip).rstrip()}")
     return "\n".join(lines)
 
@@ -88,8 +91,7 @@ _PITCH = 12
 def render_svg(P: BlockedPartition) -> str:
     """World lines as SVG; collision times carry a dot per coincident group."""
     table = evolution_table(P)
-    lo = min(min(row) for row in table.rows)
-    hi = max(max(row) for row in table.rows)
+    lo, hi = table.span
     tmax = len(table.rows) - 1
     margin = _PITCH
     w = (hi - lo) * _PITCH + 2 * margin

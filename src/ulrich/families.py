@@ -52,14 +52,20 @@ def one_n_one(n: int, signs) -> BlockedPartition:
     return _checked(P, (1, n, 1))
 
 
+def _level_length(m: int) -> int:
+    """k = (4^(m+1) - 1) / 3, the long block's length at level m >= 0."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return (4 ** (m + 1) - 1) // 3
+
+
 def two_one_k_c_set(m: int) -> tuple[int, ...]:
     """The set C' of the type (2, 1, k) family at level m, sorted increasing.
 
     C'(0) = {2}; C'(m) = 4 * C'(m-1) together with all c = 2 (mod 4) below
-    4^(m+1).  Its size is k = (4^(m+1) - 1) / 3.
+    4^(m+1).  Its size is k = ``_level_length(m)``.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _level_length(m)  # refuses a negative m
     cs = {2}
     for step in range(1, m + 1):
         cs = {4 * c for c in cs} | set(range(2, 4 ** (step + 1), 4))
@@ -69,7 +75,7 @@ def two_one_k_c_set(m: int) -> tuple[int, ...]:
 def two_one_k(m: int) -> BlockedPartition:
     """Type (2, 1, k), k = (4^(m+1) - 1) / 3: the unique class at that type."""
     cs = two_one_k_c_set(m)
-    k = (4 ** (m + 1) - 1) // 3
+    k = _level_length(m)
     top = 4 ** (m + 1)
     P = core.from_blocks(((top + 1, 1), (0,), [-(c + 1) for c in cs]))
     return _checked(P, (2, 1, k))
@@ -81,13 +87,11 @@ def one_two_k(m: int) -> BlockedPartition:
     The third block is, for j = 0..m, the run of 4^j consecutive even
     integers descending from -4^(j+1) + 2*(4^j - 1) to -4^(j+1).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    k = _level_length(m)
     c = []
     for j in range(m + 1):
         top = -(4 ** (j + 1)) + 2 * (4 ** j - 1)
         c.extend(range(top, -(4 ** (j + 1)) - 1, -2))
-    k = (4 ** (m + 1) - 1) // 3
     P = core.from_blocks(((2,), (1, 0), sorted(c, reverse=True)))
     return _checked(P, (1, 2, k))
 
@@ -100,10 +104,7 @@ def two_param(m1: int, m2: int) -> BlockedPartition:
     by k2 further 'a' steps from the middle block (1, 0).  The diagonal
     m1 == m2 is included: two_param(0, 0) is 8,2|1,0|-4 of type (2, 2, 1).
     """
-    if m2 < 0:
-        raise ValueError("m must be nonnegative")
-    k1 = (4 ** (m1 + 1) - 1) // 3
-    k2 = (4 ** (m2 + 1) - 1) // 3
+    k1, k2 = _level_length(m1), _level_length(m2)
     base = core.dual(one_two_k(m1))
     word = analysis.greedy_word(core.canonicalize(base)).letters
     T = analysis.replay(word + "a" * k2, (1, 0))
@@ -187,7 +188,7 @@ _SPORADIC = {
 
 
 def sporadic_names() -> tuple[str, ...]:
-    return ("121", "221", "222", "322", "223")
+    return (*_SPORADIC, "223")
 
 
 def sporadic(name: str) -> BlockedPartition:

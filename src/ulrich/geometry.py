@@ -26,7 +26,6 @@ import bisect
 import math
 import operator
 
-from . import core
 from .core import BlockedPartition, FlagType, Frozen
 
 
@@ -53,13 +52,8 @@ class SchurWeight(Frozen):
                 raise ValueError(
                     "weight entries must be weakly decreasing within blocks")
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out, k = [], 0
-        for l in self.type.lengths:
-            out.append(self.entries[k:k + l])
-            k += l
-        return tuple(out)
+    # The entries cut into the blocks of ``type``, as a partition's are.
+    blocks = BlockedPartition.blocks
 
 
 def to_weight(P: BlockedPartition) -> SchurWeight:
@@ -224,7 +218,6 @@ def flag_dimension(ft: FlagType) -> int:
     Sum of l_i * l_j over block pairs, and equivalently the sum over steps of
     (k_i - k_{i-1}) * (n - k_i).
     """
-    ft = FlagType(ft.lengths)
     pairs = ft.dimension
     n = ft.n
     ks = (0,) + ft.k
@@ -283,7 +276,6 @@ def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -
     sf(k) = 1! * 2! * ... * k!, so the denominator is itself a quotient.
     Each quotient is of two integer products, taken by one exact division.
     """
-    ft = FlagType(ft.lengths)
     if not ft.all_positive:
         raise ValueError("degree needs every block nonempty")
     r = ft.r

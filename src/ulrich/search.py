@@ -264,7 +264,6 @@ def _window_candidates(ft: FlagType):
 
 def baseline_oracle(ft: FlagType) -> tuple[BlockedPartition, ...]:
     """Classify a type by direct enumeration.  Requires N <= 14."""
-    ft = FlagType(ft.lengths)
     if not ft.all_positive:
         raise ValueError("search types need every block nonempty")
     N = ft.dimension
@@ -471,8 +470,6 @@ def _walk(lengths, state, depth, deadline):
                 frontier.append(([blk[:] for blk in det], covered, placed))
             return
         t0 = ((covered + 1) & ~covered).bit_length()
-        if t0 > N:
-            return
         if not placed:
             # Gauge-fixing move: the pair realizing time 1 sits at 0.
             for i, j in pairs:
@@ -702,6 +699,12 @@ def _mirror_blocks(blocks):
                  for block in reversed(blocks))
 
 
+def _classes(ft: FlagType, sorted_blocks) -> tuple[BlockedPartition, ...]:
+    """The partitions of type ``ft`` with the given canonical blocks."""
+    return tuple([BlockedPartition(ft, sum(blocks, ()))
+                  for blocks in sorted_blocks])
+
+
 def _subtree_worker(job):
     twin, args = job
     return twin, _walk(*args)
@@ -726,7 +729,6 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     the tree was searched within ``budget_seconds``; it then has the serial
     node count and classes.
     """
-    ft = FlagType(ft.lengths)
     if not ft.all_positive:
         raise ValueError("search types need every block nonempty")
     limits = limits or SearchLimits()
@@ -764,10 +766,8 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
     unique = sorted(set(found))
     if len(unique) != len(found):
         raise RuntimeError(f"a class of {ft.lengths} was generated twice")
-    classes = tuple([BlockedPartition(ft, sum(blocks, ()))
-                     for blocks in unique])
-    return SearchReport(ft, classes, nodes, time.monotonic() - start,
-                        completed)
+    return SearchReport(ft, _classes(ft, unique), nodes,
+                        time.monotonic() - start, completed)
 
 
 # --------------------------------------------------------------------------
@@ -824,10 +824,8 @@ def _mirror_report(source: SearchReport) -> SearchReport:
     """
     ft = source.type.reversed()
     mirrored = sorted(_mirror_blocks(P.blocks) for P in source.classes)
-    classes = tuple([BlockedPartition(ft, sum(blocks, ()))
-                     for blocks in mirrored])
-    return SearchReport(ft, classes, source.nodes, 0.0, source.completed,
-                        source.type.lengths)
+    return SearchReport(ft, _classes(ft, mirrored), source.nodes, 0.0,
+                        source.completed, source.type.lengths)
 
 
 def _run_type_sweep(types, limits: SearchLimits, workers: int,
@@ -876,6 +874,13 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
     return {ft.lengths: done[ft.lengths] for ft in types}
 
 
+def _check_bound(claim: str, bound: int, least: int) -> None:
+    """Refuse a sweep bound that selects no type: it would hold vacuously."""
+    if bound < least:
+        raise ValueError(f"verify {claim} needs a bound of at least {least}, "
+                         f"got {bound}")
+
+
 def verify_no_multistep(max_total_length: int,
                         limits: SearchLimits | None = None,
                         workers: int = 1,
@@ -884,8 +889,10 @@ def verify_no_multistep(max_total_length: int,
 
     Returns {lengths: SearchReport}.  The expectation (checked by callers,
     not here) is that every report is empty: Ulrich partitions stop at three
-    blocks.
+    blocks.  The least type is (1, 1, 1, 1), so a bound below 4 selects no
+    type and raises ValueError.
     """
+    _check_bound("multistep", max_total_length, 4)
     limits = limits or SearchLimits()
     types = [ft
              for blocks in range(4, max_total_length + 1)
@@ -902,11 +909,13 @@ def verify_conjecture_sweep(max_sum: int,
 
     The classification of types with a block of length <= 2 is complete; the
     conjecture is that nothing exists beyond it, i.e. all these searches come
-    back empty.
+    back empty.  The least type is (3, 3, 3), so a bound below 9 selects no
+    type and raises ValueError.
     """
+    _check_bound("conjecture", max_sum, 9)
     limits = limits or SearchLimits()
-    types = [FlagType(t)
+    types = [ft
              for total in range(9, max_sum + 1)
-             for t in itertools.product(range(3, total + 1), repeat=3)
-             if sum(t) == total]
+             for ft in _types_with_blocks(3, total)
+             if min(ft.lengths) >= 3]
     return _run_type_sweep(types, limits, workers, checkpoint_path)

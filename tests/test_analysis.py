@@ -57,6 +57,17 @@ class TestTriples:
         with pytest.raises(ValueError):
             analysis.triple_of(core.parse_partition("2|0"))
 
+    @pytest.mark.parametrize("text", ["3,1||-1", "2,1|0|", "|1|0"])
+    def test_triple_of_refuses_an_empty_block(self, text):
+        # Ulrich partitions all three, but no triple: the greedy word and
+        # the boundary rules raise ValueError, not an AssertionError.
+        P = core.parse_partition(text)
+        assert core.is_ulrich(P)
+        for reader in (analysis.triple_of, analysis.greedy_word,
+                       analysis.rectangle_check):
+            with pytest.raises(ValueError, match="no empty block"):
+                reader(P)
+
 
 class TestGrowthSteps:
     def test_add_a_first_step(self):

@@ -199,6 +199,18 @@ class TestAnalyze:
         assert "sumset decomposition: A'=[0, 4] C'=[2] tiling [0,4]" \
             in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["3,1||-1", "2,1|0|", "|1|0"])
+    def test_ulrich_with_an_empty_block(self, text, capsys):
+        # The greedy word and the boundary rules need three nonempty blocks.
+        assert run(["analyze", text]) == 0
+        captured = capsys.readouterr()
+        assert "verdict: ULRICH" in captured.out
+        assert "congruences: ok" in captured.out
+        assert "dual: " in captured.out
+        assert "greedy word" not in captured.out
+        assert "rule" not in captured.out
+        assert captured.err == ""
+
     def test_non_ulrich(self, capsys):
         assert run(["analyze", "5,3|0|-5"]) == 1
         out = capsys.readouterr().out

@@ -183,6 +183,11 @@ class TestIsUlrich:
         # Blocks a and c at distance 2 with entries of different parity.
         assert not core.congruence_ok(core.parse_partition("4|3,0|-1"))
 
+    def test_congruence_with_an_empty_block(self):
+        # No pair meets across an empty block, so it constrains nothing.
+        P = core.parse_partition("2,1|0|")
+        assert core.is_ulrich(P) and core.congruence_ok(P)
+
 
 class TestSymmetries:
     @given(helpers.blocked_partitions(), st.integers(-30, 30))

@@ -609,6 +609,16 @@ class TestSweeps:
         report = result[(3, 3, 3)]
         assert report.completed and report.count == 0
 
+    @pytest.mark.parametrize("sweep, bound, least", [
+        (verify_no_multistep, 3, 4), (verify_no_multistep, -3, 4),
+        (verify_conjecture_sweep, 8, 9), (verify_conjecture_sweep, 0, 9)])
+    def test_bound_selecting_no_type(self, sweep, bound, least, tmp_path):
+        # A sweep over no type would read as HOLDS having searched nothing.
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(ValueError, match=f"at least {least}, got {bound}"):
+            sweep(bound, checkpoint_path=str(path))
+        assert not path.exists()
+
     def test_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         first = verify_no_multistep(5, checkpoint_path=path)

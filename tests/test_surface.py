@@ -1,10 +1,13 @@
-"""Every function, class and method of the package has a caller in it.
+"""Every definition of the package has a caller in it, and no body is twice.
 
 Code that only the tests reach is a second surface to keep working with no
-user of it; the package deletes such code instead.  This walks the syntax
-trees of ``src/ulrich`` and checks that each top-level function or class,
-and each method whose name is not a dunder, is referenced somewhere in the
-package outside its own definition.  Dunder methods, and the module-level
+user of it; the package deletes such code instead.  Nor does it write one
+job out twice: ``duplicated`` finds two functions or methods whose bodies
+match once docstrings are dropped and argument and local names renamed.
+
+The caller check walks the syntax trees of ``src/ulrich`` and checks that
+each top-level function or class, and each method whose name is not a
+dunder, is referenced somewhere in the package outside its own definition.  Dunder methods, and the module-level
 PEP 562 hooks ``__getattr__`` and ``__dir__``, are exempt: the interpreter
 calls them.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import copy
 import pathlib
 
 import ulrich
@@ -193,3 +197,85 @@ def test_scan_exempts_module_hooks_and_nothing_else():
                      "        pass\n    def helper(self):\n        pass\n")
     assert [qualname for qualname, _, _ in _definitions(tree)] == [
         "__init__", "__dir__", "C", "C.helper"]
+
+
+# Bodies smaller than this many syntax nodes (a property that returns a
+# field, a one-line delegation) may repeat.
+DUPLICATE_FLOOR = 25
+
+
+def _normal_form(node: ast.FunctionDef) -> tuple[str, int]:
+    """A function's syntax tree, free of its name and its docstring, with
+    its arguments and local names renamed in order of appearance; and the
+    number of nodes in that tree."""
+    node = copy.deepcopy(node)
+    node.name = "_"
+    body = node.body
+    if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        node.body = body[1:] or [ast.Pass()]
+    arguments = node.args
+    local = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                 *arguments.kwonlyargs, arguments.vararg,
+                                 arguments.kwarg) if arg}
+    local |= {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)
+              and not isinstance(sub.ctx, ast.Load)}
+    renamed = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.arg) and sub.arg in local:
+            sub.arg = renamed.setdefault(sub.arg, f"v{len(renamed)}")
+        elif isinstance(sub, ast.Name) and sub.id in local:
+            sub.id = renamed.setdefault(sub.id, f"v{len(renamed)}")
+    return ast.dump(node), sum(1 for _ in ast.walk(node))
+
+
+def _functions(node: ast.AST, prefix: str):
+    """(qualified name, node) of every function and method under ``node``,
+    nested ones included."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (*functions, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+        if isinstance(child, functions):
+            yield name, child
+        yield from _functions(child, name)
+
+
+def duplicated(sources=None) -> list[list[str]]:
+    """Groups of two or more functions with one normal form of at least
+    ``DUPLICATE_FLOOR`` nodes, as sorted "module.qualname" lists.
+
+    ``sources`` maps module names to their source text; the default is the
+    modules of the package.
+    """
+    if sources is None:
+        sources = {path.stem: path.read_text()
+                   for path in sorted(PACKAGE.glob("*.py"))}
+    forms = collections.defaultdict(list)
+    for module, text in sources.items():
+        for name, node in _functions(ast.parse(text, module), module):
+            form, size = _normal_form(node)
+            if size >= DUPLICATE_FLOOR:
+                forms[form].append(name)
+    return sorted(sorted(names) for names in forms.values() if len(names) > 1)
+
+
+def test_no_two_functions_share_a_body():
+    assert duplicated() == []
+
+
+def test_duplicate_scan_sees_a_renamed_copy():
+    # A method and a function that differ in names and docstring only.
+    source = ("def squares(owner, values):\n    \"\"\"Doc.\"\"\"\n"
+              "    total = 0\n    for item in values:\n"
+              "        total += item * item - values[0]\n    return total\n"
+              "class C:\n    def again(self, xs):\n        acc = 0\n"
+              "        for x in xs:\n            acc += x * x - xs[0]\n"
+              "        return acc\n"
+              "def small(a):\n    return a\n"
+              "def tiny(b):\n    return b\n")
+    assert duplicated({"m": source}) == [["m.C.again", "m.squares"]]
+    # A global name is not renamed, so reading another one differs.
+    other = source.replace("total += item", "total += len")
+    assert duplicated({"m": other}) == []

@@ -44,7 +44,7 @@ SAMPLES = [
     (geometry.CohomologyAnswer, dict(degree=1, dimension=6,
                                      weight=(2, 1, 0))),
     (geometry.PolarizationWeights, dict(a=(1, 2))),
-    (diagram.EvolutionTable, dict(partition=_P, velocities=(-1, 0, 1),
+    (diagram.EvolutionTable, dict(velocities=(-1, 0, 1),
                                   rows=((5, 3, -1), (4, 3, 0)))),
 ]
 
