@@ -273,11 +273,13 @@ def sumset_decompose(P: BlockedPartition):
     and tile the interval [0, N-1] together with the averages (A' + C')/2,
     with no repeated average.  Returns (a_set, c_set, n_prime) on success and
     None if the decomposition fails; raises ValueError when the middle block
-    is not a singleton.
+    is not a singleton or an outer block is empty.
     """
     blocks = P.blocks
     if len(blocks) != 3 or len(blocks[1]) != 1:
         raise ValueError("sumset form needs a singleton middle block")
+    if not P.type.all_positive:
+        raise ValueError("sumset form needs nonempty outer blocks")
     b = blocks[1][0]
     a_entries = [x - b for x in blocks[0]]
     c_entries = [-(x - b) for x in blocks[2]]

@@ -56,37 +56,27 @@ def _emit(args, payload: dict, lines) -> None:
             print(line)
 
 
-def _witness_text(verdict: core.UlrichVerdict) -> str | None:
-    if verdict.witness is None:
-        return None
-    kind, t = verdict.witness
-    return f"{kind} {t}"
-
-
-def _limits(args):
-    """The ``search.SearchLimits`` of the resource options."""
-    from . import search
-    if args.threads < 1:
-        raise _usage(f"--threads must be at least 1, got {args.threads}")
-    try:
-        return search.SearchLimits(budget_seconds=args.budget_seconds)
-    except ValueError as exc:
-        raise _usage(f"--budget-seconds: {exc}")
+def _verdict(P) -> tuple[bool, str | None]:
+    """Whether P is Ulrich, and the witness as text when it is not."""
+    witness = core.witness(P)
+    if witness is None:
+        return True, None
+    kind, t = witness
+    return False, f"{kind} {t}"
 
 
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_check(args) -> int:
     P = core.parse_partition(args.partition)
-    verdict = core.is_ulrich(P)
-    witness = _witness_text(verdict)
+    verdict, witness = _verdict(P)
     lines = ["ULRICH" if verdict else f"NOT-ULRICH: {witness}"]
     _emit(args, {
         "command": "check",
         "partition": core.format_partition(P),
         "type": list(P.type.lengths),
         "N": P.dimension,
-        "ulrich": bool(verdict),
+        "ulrich": verdict,
         "witness": witness,
     }, lines)
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -118,16 +108,16 @@ def _cmd_diagram(args) -> int:
 def _cmd_enumerate(args) -> int:
     from . import search
     ft = _parse_type(args.type)
-    limits = _limits(args)
     if args.method == "baseline":
-        if args.threads != 1 or limits != search.SearchLimits():
+        if args.threads != 1 or args.budget_seconds is not None:
             raise _usage("the baseline method takes no limits, 1 worker")
         start = time.monotonic()
         classes = search.baseline_oracle(ft)
         report = search.SearchReport(ft, classes, 0, time.monotonic() - start,
                                      True)
     else:
-        report = search.time_branching_search(ft, limits, args.threads)
+        report = search.time_branching_search(ft, args.budget_seconds,
+                                              args.threads)
     payload = search.report_to_dict(report)
     payload["command"] = "enumerate"
     # The text lines reuse the class strings already formatted for the JSON.
@@ -180,14 +170,13 @@ def _cmd_family(args) -> int:
 
 def _cmd_analyze(args) -> int:
     P = core.parse_partition(args.partition)
-    verdict = core.is_ulrich(P)
-    witness = _witness_text(verdict)
+    verdict, witness = _verdict(P)
     payload = {
         "command": "analyze",
         "partition": core.format_partition(P),
         "type": list(P.type.lengths),
         "N": P.dimension,
-        "ulrich": bool(verdict),
+        "ulrich": verdict,
         "witness": witness,
         "congruences_ok": core.congruence_ok(P),
     }
@@ -201,7 +190,10 @@ def _cmd_analyze(args) -> int:
         D = core.dual(P)
         payload["dual"] = core.format_partition(D)
         lines.append(f"dual: {core.format_partition(D)}")
-    if len(P.type.lengths) == 3 and P.type.all_positive and verdict:
+    # The greedy word, the boundary rules and the sumset form need three
+    # nonempty blocks.
+    triple = len(P.type.lengths) == 3 and P.type.all_positive
+    if triple and verdict:
         word = analysis.greedy_word(P).letters
         payload["greedy_word"] = word
         lines.append(f"greedy word: {word}")
@@ -214,7 +206,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"rectangle rule: {'holds' if rect else 'FAILS'}")
         lines.append(f"trapezoid rule: {'holds' if trap else 'FAILS'} "
                      f"({len(quads)} quadruples)")
-    if len(P.type.lengths) == 3 and len(P.blocks[1]) == 1:
+    if triple and len(P.blocks[1]) == 1:
         decomposition = analysis.sumset_decompose(P)
         if decomposition is None:
             payload["sumset"] = None
@@ -229,19 +221,22 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
+# The bound ``verify`` sweeps to when none is given, per claim.
+_VERIFY_BOUNDS = {"multistep": 7, "conjecture": 10}
+
+
 def _cmd_verify(args) -> int:
     from . import search
-    limits = _limits(args)
     bound = args.bound
     if bound is None:
-        bound = {"multistep": 7, "conjecture": 10}[args.claim]
+        bound = _VERIFY_BOUNDS[args.claim]
     if args.claim == "multistep":
-        done = search.verify_no_multistep(bound, limits, args.threads,
-                                          args.checkpoint)
+        done = search.verify_no_multistep(bound, args.budget_seconds,
+                                          args.threads, args.checkpoint)
         claim = f"no Ulrich partition with >= 4 blocks, total length <= {bound}"
     else:
-        done = search.verify_conjecture_sweep(bound, limits, args.threads,
-                                              args.checkpoint)
+        done = search.verify_conjecture_sweep(bound, args.budget_seconds,
+                                              args.threads, args.checkpoint)
         claim = f"no three-block Ulrich partition with all lengths >= 3, sum <= {bound}"
     reports = sorted(done.values(), key=lambda rep: rep.type.lengths)
     incomplete = [rep for rep in reports if not rep.completed]
@@ -405,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[searching],
                        help="sweep a nonexistence claim over many types")
-    p.add_argument("claim", choices=["multistep", "conjecture"])
+    p.add_argument("claim", choices=list(_VERIFY_BOUNDS))
     p.add_argument("bound", nargs="?", type=int, default=None,
-                   help="total-length bound (defaults: multistep 7, "
-                        "conjecture 10; least: multistep 4, conjecture 9)")
+                   help="total-length bound (defaults: " + ", ".join(
+                       f"{k} {v}" for k, v in _VERIFY_BOUNDS.items()) + ")")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSONL file to record and resume per-type results")
     p.set_defaults(func=_cmd_verify)

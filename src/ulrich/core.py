@@ -8,8 +8,8 @@ positive rational time (x - y)/(j - i) for x in block i, y in block j, i < j.
 
 The partition is *Ulrich* when those N = sum_{i<j} l_i*l_j meeting times are
 exactly the integers 1..N, each hit once.  ``meeting_mask`` is the one test of
-that; ``is_ulrich`` adds a witness on failure, found when it is read.
-Everything in this module is exact integer arithmetic, no floats; only that
+that; ``is_ulrich`` is its yes/no answer, and ``witness`` names a failure.
+Everything in this module is exact integer arithmetic, no floats; only the
 witness time is a rational.
 
 The package's value types derive from ``Frozen``, which gives a
@@ -204,47 +204,6 @@ def format_partition(P: BlockedPartition) -> str:
     return _template(P.type.lengths).format(*P.entries)
 
 
-class UlrichVerdict(Frozen):
-    """Outcome of the Ulrich test, with a witness for failures.
-
-    The witness is None on success, otherwise a pair (kind, time) where kind
-    is one of "non-integral-time", "duplicate-time", "missing-time", and
-    time is a ``fractions.Fraction``.  A negative verdict from ``is_ulrich``
-    finds its witness when ``witness`` is first read and keeps it, so a
-    caller that only tests the verdict never pays for it; equality, hash,
-    ``repr`` and pickling read ``witness`` and so see the same value as for
-    a verdict built with it.
-    """
-
-    __slots__ = ("is_ulrich", "_witness", "_source")
-    _fields = ("is_ulrich", "witness")
-
-    def __init__(self, is_ulrich: bool,
-                 witness: tuple[str, Fraction] | None):
-        object.__setattr__(self, "is_ulrich", is_ulrich)
-        object.__setattr__(self, "_witness", witness)
-        # The partition whose witness is still to be found, or None.
-        object.__setattr__(self, "_source", None)
-
-    @classmethod
-    def _unread(cls, P: BlockedPartition) -> "UlrichVerdict":
-        """The negative verdict on P, its witness found on first read."""
-        verdict = cls(False, None)
-        object.__setattr__(verdict, "_source", P)
-        return verdict
-
-    @property
-    def witness(self) -> tuple[str, Fraction] | None:
-        P = self._source
-        if P is not None:
-            object.__setattr__(self, "_witness", _witness_of(P))
-            object.__setattr__(self, "_source", None)
-        return self._witness
-
-    def __bool__(self) -> bool:
-        return self.is_ulrich
-
-
 def velocity(b: int, r: int) -> int:
     """Velocity -(r - b) of block b (0-based) of an r-step type."""
     return b - r
@@ -281,24 +240,27 @@ def meeting_mask(blocks, hi: int) -> int:
     return covered
 
 
-def is_ulrich(P: BlockedPartition) -> UlrichVerdict:
+def is_ulrich(P: BlockedPartition) -> bool:
     """Test whether the meeting times are exactly the multiset {1, ..., N}.
 
-    On failure the witness is the smallest meeting time that is non-integral
-    or repeats an earlier one, else the first time in 1..N that no pair meets
-    at; it is found when first read (``UlrichVerdict.witness``).  Invalid
-    partitions (non-decreasing entries) never reach here: the
+    Invalid partitions (non-decreasing entries) never reach here: the
     BlockedPartition constructor rejects them, which keeps "malformed input"
     distinct from a genuine negative verdict.
     """
-    if meeting_mask(P.blocks, P.dimension) >= 0:
-        return UlrichVerdict(True, None)
-    return UlrichVerdict._unread(P)
+    return meeting_mask(P.blocks, P.dimension) >= 0
 
 
-def _witness_of(P: BlockedPartition) -> tuple[str, Fraction]:
-    """The witness of a partition that is not Ulrich (see ``is_ulrich``)."""
+def witness(P: BlockedPartition) -> tuple[str, Fraction] | None:
+    """Why P is not Ulrich, or None when it is.
+
+    The witness is a pair (kind, time): the smallest meeting time that is
+    non-integral ("non-integral-time") or repeats an earlier one
+    ("duplicate-time"), else the first time in 1..N that no pair meets at
+    ("missing-time").  The time is a ``fractions.Fraction``.
+    """
     blocks, N = P.blocks, P.dimension
+    if meeting_mask(blocks, N) >= 0:
+        return None
     # Sort the times (x - y)/d as the integers (x - y)*(L/d).  math and
     # fractions load here, so a CLI start needs neither.
     import math

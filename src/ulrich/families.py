@@ -27,10 +27,9 @@ from .core import BlockedPartition, FlagType
 def _checked(P: BlockedPartition, lengths) -> BlockedPartition:
     if P.type != FlagType(lengths):
         raise RuntimeError(f"built type {P.type}, wanted {lengths}")
-    verdict = core.is_ulrich(P)
-    if not verdict:
+    if not core.is_ulrich(P):
         raise RuntimeError(
-            f"constructed partition {P} is not Ulrich: {verdict.witness}")
+            f"constructed partition {P} is not Ulrich: {core.witness(P)}")
     return P
 
 

@@ -57,11 +57,11 @@ Two independent engines:
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
 
-``SearchLimits.budget_seconds`` bounds the whole search, with any number
-of workers.  Every walk, serial, split prefix or subtree, reads the clock
-at its first node and then every 1024 nodes, and nowhere else; so a spent
-budget stops each walk at its root, and a split search stops at the first
-subtree the budget stopped.  A sweep gives the budget to each type.
+``budget_seconds`` bounds the whole search, with any number of workers.
+Every walk, serial, split prefix or subtree, reads the clock at its first
+node and then every 1024 nodes, and nowhere else; so a spent budget stops
+each walk at its root, and a split search stops at the first subtree the
+budget stopped.  A sweep gives the budget to each type.
 ``_pool_map`` is the one runner of worker processes: forked workers, each
 on its own pipe, fed from the calling thread with no helper thread.  A
 worker that dies is an error, not a hang, and no worker outlives the
@@ -103,27 +103,6 @@ from . import core
 from .core import BlockedPartition, FlagType, Frozen
 
 
-class SearchLimits(Frozen):
-    """The time budget of a search; None means unlimited.
-
-    ``budget_seconds`` is a real number of seconds >= 0 (not NaN); anything
-    else raises ValueError here, before a search could misread it.
-    """
-
-    __slots__ = ("budget_seconds",)
-    _fields = __slots__
-
-    def __init__(self, budget_seconds: float | None = None):
-        if budget_seconds is not None:
-            import numbers
-            # NaN >= 0 is False, so NaN fails too.
-            if not (isinstance(budget_seconds, numbers.Real)
-                    and budget_seconds >= 0):
-                raise ValueError("budget_seconds must be at least 0 or None, "
-                                 f"got {budget_seconds!r}")
-        object.__setattr__(self, "budget_seconds", budget_seconds)
-
-
 class SearchReport(Frozen):
     """Outcome of one type search.
 
@@ -160,6 +139,27 @@ class SearchReport(Frozen):
     @property
     def count(self) -> int:
         return len(self.classes)
+
+
+def _check_resources(budget_seconds, workers) -> None:
+    """Refuse resources a search would misread, before it starts.
+
+    ``budget_seconds`` is None (unlimited) or a real number of seconds >= 0,
+    not NaN; ``workers`` is an int >= 1 (not a bool).  Anything else raises
+    ValueError.
+    """
+    if budget_seconds is not None:
+        import numbers
+        # NaN >= 0 is False, so NaN fails too.
+        if not (isinstance(budget_seconds, numbers.Real)
+                and budget_seconds >= 0):
+            raise ValueError("budget_seconds must be at least 0 or None, "
+                             f"got {budget_seconds!r}")
+    # bool is an int subclass; type() refuses it with the floats.
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an int, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 class BudgetExhausted(Exception):
@@ -710,7 +710,7 @@ def _subtree_worker(job):
     return twin, _walk(*args)
 
 
-def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
+def time_branching_search(ft: FlagType, budget_seconds: float | None = None,
                           workers: int = 1) -> SearchReport:
     """Classify a type with the time-branching engine.
 
@@ -727,14 +727,14 @@ def time_branching_search(ft: FlagType, limits: SearchLimits | None = None,
 
     With any number of workers the report is ``completed`` exactly when
     the tree was searched within ``budget_seconds``; it then has the serial
-    node count and classes.
+    node count and classes.  ``budget_seconds`` and ``workers`` are
+    checked by ``_check_resources``.
     """
     if not ft.all_positive:
         raise ValueError("search types need every block nonempty")
-    limits = limits or SearchLimits()
+    _check_resources(budget_seconds, workers)
     start = time.monotonic()
-    deadline = (start + limits.budget_seconds
-                if limits.budget_seconds is not None else None)
+    deadline = None if budget_seconds is None else start + budget_seconds
     lengths = ft.lengths
     R = len(lengths)
     palindrome = lengths == lengths[::-1]
@@ -783,8 +783,7 @@ def _types_with_blocks(num_blocks: int, total: int):
 
 def _search_type_worker(args):
     lengths, budget_seconds = args
-    return time_branching_search(FlagType(lengths),
-                                 SearchLimits(budget_seconds), workers=1)
+    return time_branching_search(FlagType(lengths), budget_seconds)
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, ...], SearchReport]:
@@ -828,8 +827,8 @@ def _mirror_report(source: SearchReport) -> SearchReport:
                         source.completed, source.type.lengths)
 
 
-def _run_type_sweep(types, limits: SearchLimits, workers: int,
-                    checkpoint_path: str | None = None):
+def _run_type_sweep(types, budget_seconds: float | None, workers: int,
+                    checkpoint_path: str | None):
     """Search many types on ``workers`` processes, with JSONL checkpointing.
 
     Returns {lengths: SearchReport} for exactly the given types.  A type
@@ -837,8 +836,10 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
     type whose reversed type is also requested is derived from it by
     ``_mirror_report``, after the searches, when the reverse already has a
     completed report or when both are pending and this type is the
-    lexicographically smaller one.
+    lexicographically smaller one.  ``budget_seconds`` and ``workers`` are
+    checked by ``_check_resources`` before the checkpoint is read.
     """
+    _check_resources(budget_seconds, workers)
     done: dict[tuple[int, ...], SearchReport] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         done = _load_checkpoint(checkpoint_path)
@@ -853,7 +854,7 @@ def _run_type_sweep(types, limits: SearchLimits, workers: int,
         if mirror != lengths and mirror in requested and (
                 mirror not in waiting or lengths < mirror):
             derived[lengths] = mirror
-    jobs = [(lengths, limits.budget_seconds)
+    jobs = [(lengths, budget_seconds)
             for lengths in pending if lengths not in derived]
     sink = open(checkpoint_path, "a") if checkpoint_path else None
 
@@ -882,7 +883,7 @@ def _check_bound(claim: str, bound: int, least: int) -> None:
 
 
 def verify_no_multistep(max_total_length: int,
-                        limits: SearchLimits | None = None,
+                        budget_seconds: float | None = None,
                         workers: int = 1,
                         checkpoint_path: str | None = None):
     """Search every type with >= 4 blocks up to the given total length.
@@ -893,16 +894,15 @@ def verify_no_multistep(max_total_length: int,
     type and raises ValueError.
     """
     _check_bound("multistep", max_total_length, 4)
-    limits = limits or SearchLimits()
     types = [ft
              for blocks in range(4, max_total_length + 1)
              for total in range(blocks, max_total_length + 1)
              for ft in _types_with_blocks(blocks, total)]
-    return _run_type_sweep(types, limits, workers, checkpoint_path)
+    return _run_type_sweep(types, budget_seconds, workers, checkpoint_path)
 
 
 def verify_conjecture_sweep(max_sum: int,
-                            limits: SearchLimits | None = None,
+                            budget_seconds: float | None = None,
                             workers: int = 1,
                             checkpoint_path: str | None = None):
     """Search every three-block type with all lengths >= 3, sum <= max_sum.
@@ -913,9 +913,8 @@ def verify_conjecture_sweep(max_sum: int,
     type and raises ValueError.
     """
     _check_bound("conjecture", max_sum, 9)
-    limits = limits or SearchLimits()
     types = [ft
              for total in range(9, max_sum + 1)
              for ft in _types_with_blocks(3, total)
              if min(ft.lengths) >= 3]
-    return _run_type_sweep(types, limits, workers, checkpoint_path)
+    return _run_type_sweep(types, budget_seconds, workers, checkpoint_path)

@@ -86,11 +86,12 @@ def test_criterion_02_exemplars():
                       families.elongated_family(2, 2),
                       families.elongated_family(1, 3)]
         for P in positives:
-            verdict = core.is_ulrich(P)
-            assert verdict, f"{P} should be Ulrich, got {verdict.witness}"
+            witness = core.witness(P)
+            assert core.is_ulrich(P) and witness is None, \
+                f"{P} should be Ulrich, got {witness}"
         for text, witness in FALSE_EXEMPLARS:
-            verdict = core.is_ulrich(parse_partition(text))
-            assert not verdict and verdict.witness == witness
+            P = parse_partition(text)
+            assert not core.is_ulrich(P) and core.witness(P) == witness
         d["note"] = f"{len(positives)} true, {len(FALSE_EXEMPLARS)} false"
 
 

@@ -214,6 +214,12 @@ class TestSumset:
         with pytest.raises(ValueError, match="singleton"):
             analysis.sumset_decompose(core.parse_partition("8,6|5,0|-2"))
 
+    @pytest.mark.parametrize("text", ["2,1|0|", "|0|-1,-2", "1|0|"])
+    def test_requires_nonempty_outer_blocks(self, text):
+        # These are Ulrich, so "no decomposition" would be wrong.
+        with pytest.raises(ValueError, match="nonempty outer blocks"):
+            analysis.sumset_decompose(core.parse_partition(text))
+
     def test_known_decompositions(self):
         assert (analysis.sumset_decompose(families.two_one_k(0))
                 == ((0, 4), (2,), 4))

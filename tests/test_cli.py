@@ -211,6 +211,15 @@ class TestAnalyze:
         assert "rule" not in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("text", ["2,1|0|", "|0|-1,-2"])
+    def test_no_sumset_with_an_empty_outer_block(self, text, capsys):
+        assert run(["analyze", text]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: ULRICH" in out and "sumset" not in out
+        assert run(["analyze", "--json", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ulrich"] is True and "sumset" not in payload
+
     def test_non_ulrich(self, capsys):
         assert run(["analyze", "5,3|0|-5"]) == 1
         out = capsys.readouterr().out
@@ -356,7 +365,7 @@ class TestVerify:
             (4, 3, 3): None}
 
     def test_inconclusive(self, capsys, monkeypatch):
-        def fake_sweep(bound, limits, workers, checkpoint):
+        def fake_sweep(bound, budget_seconds, workers, checkpoint):
             ft = FlagType((3, 3, 3))
             return {ft.lengths: SearchReport(ft, (), 10, 0.01, False)}
         monkeypatch.setattr(search, "verify_conjecture_sweep", fake_sweep)
@@ -367,7 +376,7 @@ class TestVerify:
 
     def test_counterexample(self, capsys, monkeypatch):
         from ulrich.core import parse_partition
-        def fake_sweep(bound, limits, workers, checkpoint):
+        def fake_sweep(bound, budget_seconds, workers, checkpoint):
             ft = FlagType((1, 1, 1, 1))
             fake = parse_partition("3|2|1|0")
             return {ft.lengths: SearchReport(ft, (fake,), 10, 0.01, True)}

@@ -1,7 +1,5 @@
 """Core model: partitions, meeting times, the Ulrich test, and the symmetries."""
 
-import pickle
-
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -108,56 +106,42 @@ class TestIsUlrich:
     ])
     def test_known_ulrich(self, text):
         P = core.parse_partition(text)
-        verdict = core.is_ulrich(P)
-        assert verdict and bool(verdict) and verdict.witness is None
+        assert core.is_ulrich(P) is True
+        assert core.witness(P) is None
 
     def test_witness_non_integral(self):
-        verdict = core.is_ulrich(core.parse_partition("6,1|0|-3"))
-        assert not verdict
-        kind, t = verdict.witness
+        P = core.parse_partition("6,1|0|-3")
+        assert core.is_ulrich(P) is False
+        kind, t = core.witness(P)
         assert kind == "non-integral-time" and t == Fraction(9, 2)
 
     def test_witness_duplicate(self):
-        verdict = core.is_ulrich(core.parse_partition("5,3|0|-5"))
-        assert not verdict
-        kind, t = verdict.witness
+        P = core.parse_partition("5,3|0|-5")
+        assert core.is_ulrich(P) is False
+        kind, t = core.witness(P)
         assert kind == "duplicate-time" and t == 5
 
     def test_witness_missing(self):
         # The single pair meets at time 2 > N = 1, so time 1 goes uncovered.
-        verdict = core.is_ulrich(core.parse_partition("2|0"))
-        assert not verdict
-        assert verdict.witness == ("missing-time", Fraction(1))
+        P = core.parse_partition("2|0")
+        assert core.is_ulrich(P) is False
+        assert core.witness(P) == ("missing-time", Fraction(1))
 
-    @given(helpers.blocked_partitions(max_blocks=5))
+    @given(st.one_of(helpers.blocked_partitions(max_blocks=5),
+                     helpers.ulrich_members()))
     @settings(max_examples=300)
     def test_witness_matches_reference(self, P):
-        # five blocks give pair distances d = 1..4, so times in quarters
-        assert core.is_ulrich(P).witness == helpers.reference_witness(P)
+        # Five blocks give pair distances d = 1..4, so times in quarters.
+        # The family members are Ulrich: both sides give None.
+        assert core.witness(P) == helpers.reference_witness(P)
 
-    def test_witness_found_once_when_read(self, monkeypatch):
-        calls = []
-        witness = core._witness_of
-        monkeypatch.setattr(core, "_witness_of",
-                            lambda P: calls.append(P) or witness(P))
-        P = core.parse_partition("5,3|0|-5")
-        assert not bool(core.is_ulrich(P))
-        assert calls == []
-        verdict = core.is_ulrich(P)
-        assert verdict.witness == verdict.witness == ("duplicate-time", 5)
-        assert calls == [P]
-
-    @given(helpers.blocked_partitions(max_blocks=5))
-    @settings(max_examples=100)
-    def test_unread_witness_is_a_plain_field(self, P):
-        # Each comparison starts from a fresh verdict, its witness unread.
-        built = core.UlrichVerdict(helpers.brute_is_ulrich(P),
-                                   helpers.reference_witness(P))
-        assert core.is_ulrich(P) == built
-        assert hash(core.is_ulrich(P)) == hash(built)
-        assert repr(core.is_ulrich(P)) == repr(built)
-        assert pickle.dumps(core.is_ulrich(P)) == pickle.dumps(built)
-        assert pickle.loads(pickle.dumps(core.is_ulrich(P))) == built
+    def test_negative_verdict_loads_no_witness_module(self):
+        out = helpers.fresh_stdout(
+            "from ulrich import core\n"
+            "P = core.parse_partition('5,3|0|-5')\n"
+            "print(core.is_ulrich(P), 'fractions' in sys.modules, "
+            "'math' in sys.modules)")
+        assert out.split() == ["False", "False", "False"]
 
     @given(helpers.blocked_partitions())
     @settings(max_examples=300)

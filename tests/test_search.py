@@ -24,9 +24,9 @@ import pytest
 import ulrich
 from ulrich import core, families, search
 from ulrich.core import FlagType
-from ulrich.search import (SearchLimits, baseline_oracle, report_from_dict,
-                           report_to_dict, time_branching_search,
-                           verify_conjecture_sweep, verify_no_multistep)
+from ulrich.search import (baseline_oracle, report_from_dict, report_to_dict,
+                           time_branching_search, verify_conjecture_sweep,
+                           verify_no_multistep)
 
 from helpers import all_types, brute_is_ulrich, fresh_stdout
 
@@ -174,8 +174,7 @@ class TestSearchTree:
         reads = itertools.count()
         monkeypatch.setattr(search, "time", types.SimpleNamespace(
             monotonic=lambda: next(reads)))
-        report = time_branching_search(FlagType((2, 8, 1)),
-                                       SearchLimits(budget_seconds=2.5))
+        report = time_branching_search(FlagType((2, 8, 1)), 2.5)
         assert (report.nodes, report.completed, report.count) == (
             2048, False, 3)
         assert next(reads) == 5
@@ -451,7 +450,7 @@ class TestPoolMap:
         monkeypatch.setattr(search, "time", types.SimpleNamespace(
             monotonic=lambda: next(reads)))
         report = time_branching_search(
-            FlagType((2, 8, 2)), SearchLimits(budget_seconds=2.5), workers=2)
+            FlagType((2, 8, 2)), 2.5, workers=2)
         assert report.completed is False
         assert not multiprocessing.active_children()
 
@@ -467,8 +466,7 @@ class TestPoolMap:
 
 class TestLimits:
     def test_time_cap_reports_incomplete(self):
-        limits = SearchLimits(budget_seconds=1e-4)
-        report = time_branching_search(FlagType((2, 8, 2)), limits)
+        report = time_branching_search(FlagType((2, 8, 2)), 1e-4)
         assert not report.completed
 
     # The budget means the same with one worker and with several: (1,10,1)
@@ -480,28 +478,43 @@ class TestLimits:
     def test_zero_budget_stops_at_first_clock_read(self, workers):
         for lengths in [(2, 2, 2), (1, 10, 1)]:
             report = time_branching_search(
-                FlagType(lengths), SearchLimits(budget_seconds=0), workers)
+                FlagType(lengths), 0, workers)
             assert report.completed is False
             assert report.nodes == 1
 
     def test_generous_limits_complete(self):
-        limits = SearchLimits(budget_seconds=60)
-        report = time_branching_search(FlagType((2, 2, 2)), limits)
+        report = time_branching_search(FlagType((2, 2, 2)), 60)
         assert report.completed
         assert report.count == 2
 
-    # A budget the search would misread is refused where it is made: a NaN
-    # budget never trips.
+    # A budget or worker count the search would misread is refused before
+    # it starts: a NaN budget never trips, and a worker count below 1 or
+    # not an int ran serially or failed after the prefix walk.
 
     @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5, "1", 1j])
-    def test_bad_budget_refused(self, budget):
+    def test_bad_budget_refused(self, budget, tmp_path):
+        path = tmp_path / "sweep.jsonl"
         with pytest.raises(ValueError, match="budget_seconds must be at least"):
-            SearchLimits(budget_seconds=budget)
+            time_branching_search(FlagType((2, 2, 2)), budget)
+        with pytest.raises(ValueError, match="budget_seconds must be at least"):
+            verify_conjecture_sweep(10, budget, checkpoint_path=str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("workers, message", [
+        (0, "at least 1"), (-1, "at least 1"), (2.5, "an int"),
+        (True, "an int")])
+    def test_bad_workers_refused(self, workers, message, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(ValueError, match=f"workers must be {message}"):
+            time_branching_search(FlagType((2, 2, 2)), workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be {message}"):
+            verify_no_multistep(5, workers=workers, checkpoint_path=str(path))
+        assert not path.exists()
 
     def test_edge_limits_accepted(self):
-        assert SearchLimits(budget_seconds=0).budget_seconds == 0
-        limits = SearchLimits(budget_seconds=float("inf"))
-        report = time_branching_search(FlagType((2, 2, 2)), limits)
+        report = time_branching_search(FlagType((2, 2, 2)), 0)
+        assert report.completed is False
+        report = time_branching_search(FlagType((2, 2, 2)), float("inf"))
         assert (report.completed, report.count) == (True, 2)
 
 
@@ -756,11 +769,11 @@ class TestMirrorDerivation:
         # checkpoint in every serialized field.
         path = str(tmp_path / "sweep.jsonl")
         types = [FlagType(t) for t in ((1, 2, 1), (1, 2, 2), (2, 2, 1))]
-        fresh = search._run_type_sweep(types, SearchLimits(), 1, path)
+        fresh = search._run_type_sweep(types, None, 1, path)
         assert fresh[(1, 2, 2)].mirror_of == (2, 2, 1)
         assert all(report.count for report in fresh.values())
         searched = _count_searches(monkeypatch)
-        resumed = search._run_type_sweep(types, SearchLimits(), 1, path)
+        resumed = search._run_type_sweep(types, None, 1, path)
         assert searched == []
         for lengths, report in fresh.items():
             want = report_to_dict(report)
@@ -773,7 +786,7 @@ class TestMirrorDerivation:
     def test_stopped_source_redoes_both(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
         stopped = verify_conjecture_sweep(
-            10, SearchLimits(budget_seconds=0), checkpoint_path=path)
+            10, 0, checkpoint_path=path)
         assert not stopped[(4, 3, 3)].completed
         assert not stopped[(3, 3, 4)].completed
         assert stopped[(3, 3, 4)].mirror_of == (4, 3, 3)
@@ -786,21 +799,19 @@ class TestMirrorDerivation:
 
     def test_unrequested_mirror_is_searched(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
-        search._run_type_sweep([FlagType((4, 3, 3))], SearchLimits(), 1, path)
+        search._run_type_sweep([FlagType((4, 3, 3))], None, 1, path)
         searched = _count_searches(monkeypatch)
-        result = search._run_type_sweep([FlagType((3, 3, 4))],
-                                        SearchLimits(), 1, path)
+        result = search._run_type_sweep([FlagType((3, 3, 4))], None, 1, path)
         assert searched == [(3, 3, 4)]
         assert result[(3, 3, 4)].mirror_of is None
         assert result[(3, 3, 4)].nodes == 456
 
     @pytest.mark.parametrize("budget", [0, None])
     def test_same_budget_same_completed(self, budget):
-        limits = SearchLimits(budget_seconds=budget)
         result = search._run_type_sweep(
-            [FlagType((3, 3, 4)), FlagType((4, 3, 3))], limits, 1)
+            [FlagType((3, 3, 4)), FlagType((4, 3, 3))], budget, 1, None)
         derived, source = result[(3, 3, 4)], result[(4, 3, 3)]
         assert derived.mirror_of == (4, 3, 3)
         assert derived.completed == source.completed == (budget is None)
-        direct = time_branching_search(FlagType((3, 3, 4)), limits)
+        direct = time_branching_search(FlagType((3, 3, 4)), budget)
         assert derived.completed == direct.completed

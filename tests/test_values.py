@@ -30,9 +30,6 @@ SAMPLES = [
     (core.FlagType, dict(lengths=(1, 2, 1))),
     (core.BlockedPartition, dict(type=FlagType((1, 4, 1)),
                                  entries=(5, 3, -1, -2, -4, -5))),
-    (core.UlrichVerdict, dict(is_ulrich=False,
-                              witness=("missing-time", Fraction(3)))),
-    (search.SearchLimits, dict(budget_seconds=1.5)),
     (search.SearchReport, dict(type=FlagType((1, 4, 1)), classes=(_P,),
                                nodes=7, elapsed=0.25, completed=True,
                                mirror_of=(1, 4, 1))),
@@ -50,7 +47,7 @@ SAMPLES = [
 
 # Modules a CLI start does not use; dataclasses would pull in inspect, and
 # fractions would pull in decimal.  The handlers import json and the
-# submodules they run; core imports math on a negative verdict only; and
+# submodules they run; core imports math when it finds a witness; and
 # argparse's own width lookup would import shutil, which loads zlib, bz2
 # and lzma.
 HEAVY = ("dataclasses", "inspect", "multiprocessing", "fractions", "decimal",
@@ -117,8 +114,6 @@ class TestContract:
             assert twin == value and hash(twin) == hash(value)
 
     def test_keyword_defaults(self):
-        assert search.SearchLimits() == search.SearchLimits(
-            budget_seconds=None)
         report = search.SearchReport(type=FlagType((1, 1)), classes=(),
                                      nodes=1, elapsed=0.0, completed=True)
         assert report.mirror_of is None
@@ -188,6 +183,6 @@ class TestLightImport:
         assert cli._terminal_columns() == shutil.get_terminal_size().columns
 
     def test_failure_witness_still_a_fraction(self):
-        verdict = core.is_ulrich(core.parse_partition("5|3,-1|-5"))
-        assert verdict.witness == ("missing-time", Fraction(1))
-        assert isinstance(verdict.witness[1], Fraction)
+        witness = core.witness(core.parse_partition("5|3,-1|-5"))
+        assert witness == ("missing-time", Fraction(1))
+        assert isinstance(witness[1], Fraction)
