@@ -3,13 +3,19 @@
 Three-block partitions (A|B|C) admit a greedy reconstruction: an Ulrich
 partition is grown from its middle block by repeatedly adding the entry that
 realizes the smallest still-uncovered meeting time, and the added value is
-forced (Extension rules below).  This module implements the growth step
-(``_grow``), the greedy word of an Ulrich partition, the sumset
-reformulation for singleton middle blocks, and two boundary rules
-(trapezoid, rectangle) that relate a partition to its dual.
+forced (Extension rules below).  This module implements the growth step, the
+greedy word of an Ulrich partition, the sumset reformulation for singleton
+middle blocks, and two boundary rules (trapezoid, rectangle) that relate a
+partition to its dual.
 
-``greedy_word`` and ``replay`` carry the covered-time mask through the
-growth: each step adds only the new entry's meeting times to it.
+The growth step has one kernel, ``_step``: on plain entry lists and the
+covered-time mask it returns the first uncovered time t0, the forced new
+entry, and the mask with the entry's meeting times added (-1 on a clash).
+``greedy_word`` and ``replay`` grow sorted lists through it and build value
+objects only at the ends: the input triple, the word, the replayed triple.
+``_grow`` wraps one kernel step as an ``Extension``, with the candidate
+``PreUlrichTriple`` and its clashes as ``Fraction``; ``replay`` builds one
+only to word its error.
 
 All formulas are phrased directly on entry values, which makes them
 independent of the velocity normalization used for display.
@@ -73,6 +79,52 @@ def _first_gap(mask: int) -> int:
     return (~m & (m + 1)).bit_length() - 1
 
 
+def _step(a, b, c, mask: int, letter: str, clashes=None):
+    """One growth step on plain entry lists: (t0, value, mask or -1).
+
+    ``a``, ``b``, ``c`` hold a triple's blocks, each strictly decreasing,
+    and ``mask`` >= 0 its covered-time mask, bit t set for each meeting time
+    t (``core.meeting_mask``).  The new entry of block A (letter "a") or C
+    (letter "c") meets the triple at its first uncovered time t0; at time t
+    an entry x of A, B, C sits at x - 2t, x - t, x (``core.velocity``).
+    Returns t0, the new entry, and ``mask`` with the new entry's times
+    added, or -1 when one of them is not an integer or is already taken.
+    Without ``clashes`` the step stops at the first such time; given a
+    list, it goes on and appends each as a (numerator, denominator) pair.
+    The lists themselves are not changed.
+    """
+    t0 = _first_gap(mask)
+    # The new entry meets its own side of B at speed 1 and the far outer
+    # block at speed 2; ``sign`` orients each difference as a time.
+    if letter == "a":
+        value = b[0] + t0
+        if c and c[0] + 2 * t0 > value:
+            value = c[0] + 2 * t0
+        far, sign = c, 1
+    elif letter == "c":
+        value = b[-1] - t0
+        if a and a[-1] - 2 * t0 < value:
+            value = a[-1] - 2 * t0
+        far, sign = a, -1
+    else:
+        raise ValueError(f"letter must be 'a' or 'c', got {letter!r}")
+    clean = True
+    for d, block in ((1, b), (2, far)):
+        for y in block:
+            diff = sign * (value - y)
+            t, rem = divmod(diff, d)
+            if rem or mask >> t & 1:
+                if clashes is None:
+                    return t0, value, -1
+                clashes.append((diff, d))
+                clean = False
+            else:
+                mask |= 1 << t
+    # The triple's times are distinct integers, so the grown triple's are
+    # unless a new time clashed.
+    return t0, value, mask if clean else -1
+
+
 class Extension(Frozen):
     """Result of one greedy growth step.
 
@@ -96,45 +148,26 @@ class Extension(Frozen):
 
 
 def _grow(T: PreUlrichTriple, mask: int, letter: str):
-    """Add the forced entry of block A (letter "a") or C (letter "c") to T.
+    """``_step`` on T as value objects: (Extension, the candidate's mask).
 
-    ``mask`` >= 0 is T's covered-time mask, bit t set for each meeting time
-    t (``core.meeting_mask``).  The new entry meets the triple at its first
-    uncovered time.  Returns the Extension and the candidate's mask:
-    ``mask`` with the new entry's times added, or -1 when one of them
-    clashes.
+    ``mask`` >= 0 is T's covered-time mask.  The mask returned is -1 when
+    a new time clashes.
     """
-    t0 = _first_gap(mask)
-    # At time t0 an entry x of block m (A, B, C for m = 0, 1, 2) sits at
-    # x + v[m].
-    v = [t0 * core.velocity(m, 2) for m in range(3)]
+    pairs = []
+    time, value, mask = _step(T.a, T.b, T.c, mask, letter, pairs)
     if letter == "a":
-        # Largest position among B and C at time t0, pulled back to an entry.
-        value = max([b + v[1] for b in T.b] + [c + v[2] for c in T.c]) - v[0]
         candidate = PreUlrichTriple(
-            tuple(sorted(T.a + (value,), reverse=True)), T.b, T.c)
-        pairs = [(value - b, 1) for b in T.b] + [(value - c, 2) for c in T.c]
-    elif letter == "c":
-        value = min([a + v[0] for a in T.a] + [b + v[1] for b in T.b]) - v[2]
-        candidate = PreUlrichTriple(
-            T.a, T.b, tuple(sorted(T.c + (value,), reverse=True)))
-        pairs = [(a - value, 2) for a in T.a] + [(b - value, 1) for b in T.b]
+            sorted(T.a + (value,), reverse=True), T.b, T.c)
     else:
-        raise ValueError(f"letter must be 'a' or 'c', got {letter!r}")
-    clashes = set()
-    for diff, d in pairs:
-        t, rem = divmod(diff, d)
-        if rem or mask >> t & 1:
-            from fractions import Fraction
-            clashes.add(Fraction(diff, d))
-        else:
-            mask |= 1 << t
-    # T's times are distinct integers, so the candidate's are unless a new
-    # pair clashed.
-    step = Extension(candidate, t0, value,
-                     not clashes and _parity_ok(candidate),
-                     tuple(sorted(clashes)))
-    return step, -1 if clashes else mask
+        candidate = PreUlrichTriple(
+            T.a, T.b, sorted(T.c + (value,), reverse=True))
+    clashes = ()
+    if pairs:
+        from fractions import Fraction
+        clashes = tuple(sorted({Fraction(diff, d) for diff, d in pairs}))
+    step = Extension(candidate, time, value,
+                     not clashes and _parity_ok(candidate), clashes)
+    return step, mask
 
 
 class GreedyWord(Frozen):
@@ -156,38 +189,41 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
     The word is translation-invariant.  At each step the full partition's
     collision at the current uncovered time tells which side grows; the value
     produced by the corresponding Extension rule must match the partition's
-    actual entry, which is asserted.
+    actual entry, which is checked.  A sub-triple of the Ulrich input keeps
+    its outer parity, so a matching value leaves only clashes to check.
     """
     full = triple_of(P)
     if not core.is_ulrich(P):
         raise ValueError("greedy reconstruction is defined for Ulrich input")
+    blocks = (full.a, full.b, full.c)
     by_time = {(x - y) // (j - i): (i, j, x, y)
                for i, j in ((0, 1), (0, 2), (1, 2))
-               for x in P.blocks[i] for y in P.blocks[j]}
-    sub = PreUlrichTriple((), full.b, ())
+               for x in blocks[i] for y in blocks[j]}
+    a, b, c = [], full.b, []
     mask = 0  # the middle block alone has no meeting times
     letters = []
-    while len(sub.a) < len(full.a) or len(sub.c) < len(full.c):
+    while len(a) < len(full.a) or len(c) < len(full.c):
         t0 = _first_gap(mask)
         bi, bj, x, y = by_time[t0]
         if (bi, bj) == (0, 1):
             letter = "a"
         elif (bi, bj) == (1, 2):
             letter = "c"
-        elif x in sub.a:
+        elif x in a:
             letter = "c"
-        elif y in sub.c:
+        elif y in c:
             letter = "a"
         else:
             raise AssertionError(
                 f"collision at t={t0} involves two unplaced outer entries")
-        step, mask = _grow(sub, mask, letter)
-        expected = x if letter == "a" else y
-        if step.value != expected or not step.pre_ulrich:
+        t0, value, mask = _step(a, b, c, mask, letter)
+        grown, expected = (a, x) if letter == "a" else (c, y)
+        if value != expected or mask < 0:
             raise AssertionError(
-                f"greedy step {letter}@{t0} produced {step.value}, "
+                f"greedy step {letter}@{t0} produced {value}, "
                 f"partition has {expected}")
-        sub = step.triple
+        grown.append(value)
+        grown.sort(reverse=True)
         letters.append(letter)
     return GreedyWord("".join(letters))
 
@@ -196,19 +232,27 @@ def replay(word: str, middle) -> PreUlrichTriple:
     """Grow a triple from the given middle block by a word of a/c letters.
 
     Raises ValueError if any step double-books a meeting time, i.e. if the
-    word is not realizable from that middle block.
+    word is not realizable from that middle block, or breaks the outer
+    parity.
     """
-    T = PreUlrichTriple((), tuple(middle), ())
+    b = PreUlrichTriple((), middle, ()).b  # refuses a bad middle block
+    a, c = [], []
     mask = 0  # the middle block alone has no meeting times
     for pos, letter in enumerate(word):
-        step, mask = _grow(T, mask, letter)
-        if not step.pre_ulrich:
+        _, value, grown_mask = _step(a, b, c, mask, letter)
+        # Every outer entry so far shares one parity.
+        outer = a or c
+        if grown_mask < 0 or outer and (value - outer[0]) % 2:
+            step, _ = _grow(PreUlrichTriple(a, b, c), mask, letter)
             why = (f"double-books times {step.clashes}" if step.clashes
                    else "breaks the outer parity invariant")
             raise ValueError(
                 f"step {pos} ({letter!r} at t={step.time}) {why}")
-        T = step.triple
-    return T
+        mask = grown_mask
+        grown = a if letter == "a" else c
+        grown.append(value)
+        grown.sort(reverse=True)
+    return PreUlrichTriple(a, b, c)
 
 
 def dual_blocks_centered(P: BlockedPartition):

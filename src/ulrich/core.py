@@ -164,12 +164,24 @@ class BlockedPartition(Frozen):
         return format_partition(self)
 
 
+@functools.lru_cache(maxsize=512)
+def _flag_type(lengths: tuple[int, ...]) -> FlagType:
+    """The shared FlagType of block lengths this module has just counted.
+
+    Only for lengths computed here as ``len`` of a block, so every key is a
+    tuple of ints and a cache hit cannot let a float or bool length past
+    the constructor's checks; a refused type raises and is not cached.
+    ``FlagType(...)`` itself still builds a fresh, validated object.
+    """
+    return FlagType(lengths)
+
+
 def from_blocks(blocks) -> BlockedPartition:
     """Build a partition from an iterable of entry blocks."""
     blocks = [tuple(b) for b in blocks]
-    lengths = tuple(len(b) for b in blocks)
-    entries = tuple(e for b in blocks for e in b)
-    return BlockedPartition(FlagType(lengths), entries)
+    lengths = tuple([len(b) for b in blocks])
+    entries = tuple([e for b in blocks for e in b])
+    return BlockedPartition(_flag_type(lengths), entries)
 
 
 def parse_partition(text: str) -> BlockedPartition:
@@ -190,7 +202,7 @@ def parse_partition(text: str) -> BlockedPartition:
         except ValueError:
             raise ValueError(f"bad block {part!r} in partition string {text!r}") from None
         lengths.append(len(toks))
-    return BlockedPartition(FlagType(tuple(lengths)), entries)
+    return BlockedPartition(_flag_type(tuple(lengths)), entries)
 
 
 @functools.lru_cache(maxsize=256)

@@ -21,11 +21,11 @@ Families covered:
 from __future__ import annotations
 
 from . import analysis, core
-from .core import BlockedPartition, FlagType
+from .core import BlockedPartition
 
 
 def _checked(P: BlockedPartition, lengths) -> BlockedPartition:
-    if P.type != FlagType(lengths):
+    if P.type.lengths != lengths:
         raise RuntimeError(f"built type {P.type}, wanted {lengths}")
     if not core.is_ulrich(P):
         raise RuntimeError(

@@ -23,6 +23,7 @@ a remainder; no rational arithmetic is used.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 
@@ -180,7 +181,9 @@ class CohomologyAnswer(Frozen):
 def bwb_cohomology(w: SchurWeight, t: int = 0) -> CohomologyAnswer:
     """Bott's algorithm on the time-t twist of the bundle of w."""
     n = w.type.n
-    v = [x + s for x, s in zip(twist(w, t).entries, rho(n))]
+    # The twist at 0 is w itself.
+    entries = twist(w, t).entries if t else w.entries
+    v = [x + s for x, s in zip(entries, rho(n))]
     if len(set(v)) < n:
         return CohomologyAnswer(None, 0, None)
     # q counts the pairs i < j with v[i] < v[j]: for each entry, the
@@ -261,8 +264,12 @@ def _superfactorial(k: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=128)
 def flag_degree(ft: FlagType, polarization: PolarizationWeights | None = None) -> int:
     """Degree of Fl(k; n) under the polarization (default: all ones).
+
+    Cached per (type, polarization), both immutable values: every partition
+    of a type shares its degree, and a refused input raises uncached.
 
     The Hilbert polynomial of the polarization is Weyl's dimension formula
     with the weight scaled by t; pairs inside a block contribute 1, and each

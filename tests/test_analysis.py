@@ -8,6 +8,7 @@ import textwrap
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from ulrich import analysis, core, families, search
@@ -142,6 +143,33 @@ class TestGrowthSteps:
                     got.triple) == want
             assert grown_mask == mask_of(got.triple)
 
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=4, unique=True),
+           st.text(alphabet="ac", max_size=8))
+    @example([0], "aa")        # breaks the outer parity
+    @example([2, 0], "ac")     # double-books a time
+    @example([3, 0], "acaca")  # grows sporadic 322
+    @settings(max_examples=400)
+    def test_replay_matches_reference_fold(self, middle, word):
+        # Folding the reference step over the word gives replay's triple,
+        # or replay's ValueError at the same step, time and reason.
+        middle = sorted(middle, reverse=True)
+        T, failure = PreUlrichTriple((), middle, ()), None
+        for pos, letter in enumerate(word):
+            time, _, pre_ulrich, clashes, grown = \
+                helpers.reference_extension(T, letter)
+            if not pre_ulrich:
+                why = (f"double-books times {clashes}" if clashes
+                       else "breaks the outer parity invariant")
+                failure = f"step {pos} ({letter!r} at t={time}) {why}"
+                break
+            T = grown
+        if failure is None:
+            assert analysis.replay(word, middle) == T
+        else:
+            with pytest.raises(ValueError) as exc:
+                analysis.replay(word, middle)
+            assert str(exc.value) == failure
+
 
 class TestGreedyWord:
     @pytest.mark.parametrize("name,word", [
@@ -183,13 +211,11 @@ class TestGreedyWord:
         code = textwrap.dedent("""
             from ulrich import analysis, families
             assert False, "asserts are stripped under -O"
-            grow = analysis._grow
-            def off_by_one(T, mask, letter):
-                step, mask = grow(T, mask, letter)
-                return analysis.Extension(step.triple, step.time,
-                                          step.value + 1, step.pre_ulrich,
-                                          step.clashes), mask
-            analysis._grow = off_by_one
+            step = analysis._step
+            def off_by_one(a, b, c, mask, letter, clashes=None):
+                t0, value, mask = step(a, b, c, mask, letter, clashes)
+                return t0, value + 1, mask
+            analysis._step = off_by_one
             try:
                 analysis.greedy_word(families.sporadic("222"))
             except AssertionError as exc:
@@ -203,10 +229,16 @@ class TestGreedyWord:
         assert result.stdout.startswith("AssertionError: greedy step")
 
     def test_roundtrip_exhaustive_small(self):
+        # Every three-block class with N <= 12.
+        classes = 0
         for ft in helpers.all_types(12, max_blocks=3, min_blocks=3):
             for P in search.baseline_oracle(ft):
                 word = analysis.greedy_word(P).letters
+                assert (word.count("a"), word.count("c")) == \
+                    (ft.lengths[0], ft.lengths[2])
                 assert analysis.replay(word, P.blocks[1]).as_partition() == P
+                classes += 1
+        assert classes == 72
 
 
 class TestSumset:

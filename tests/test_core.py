@@ -43,6 +43,30 @@ class TestFlagType:
         with pytest.raises(ValueError, match="must be ints"):
             FlagType(lengths)
 
+    def test_parsing_shares_types_the_constructor_does_not(self):
+        # Partitions parsed or built from blocks share one cached FlagType
+        # per type; FlagType(...) still builds a fresh object.
+        P = core.parse_partition("4|3,0|-2")
+        assert core.from_blocks(P.blocks).type is P.type
+        assert FlagType((1, 2, 1)) is not FlagType((1, 2, 1))
+        assert FlagType((1, 2, 1)) is not P.type
+        assert FlagType((1, 2, 1)) == P.type
+
+    @pytest.mark.parametrize("lengths", [(2.0, 1), (True, 1), (1.0, 1)])
+    def test_cached_type_lets_no_lookalike_through(self, lengths):
+        # (1, 1) is cached; (True, 1) and (1.0, 1) equal it as tuples.
+        assert core.parse_partition("1|0").type.lengths == (1, 1)
+        with pytest.raises(ValueError, match="must be ints"):
+            FlagType(lengths)
+
+    def test_refused_type_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="two blocks"):
+                core.parse_partition("1,0")
+
+    def test_type_cache_is_bounded(self):
+        assert core._flag_type.cache_parameters()["maxsize"] is not None
+
 
 class TestBlockedPartition:
     def test_blocks_and_dimension(self):

@@ -279,6 +279,11 @@ class TestSelfCheck:
         with pytest.raises(RuntimeError, match="not Ulrich"):
             families.p_u(1)
 
+    def test_wrong_type_raises(self):
+        with pytest.raises(RuntimeError,
+                           match=r"built type .*\(2, 2, 2\).*wanted \(2, 2, 3\)"):
+            families._checked(families.p_u(1), (2, 2, 3))
+
     def test_raises_under_optimize(self):
         code = _NEVER_ULRICH + textwrap.dedent("""
             assert False, "asserts are stripped under -O"

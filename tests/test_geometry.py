@@ -218,6 +218,13 @@ class TestBott:
             answer = bwb_cohomology(to_weight(P))
             assert (answer.degree, answer.dimension) == (0, 1)
 
+    def test_zero_twist_is_the_weight_itself(self, monkeypatch):
+        w = to_weight(parse_partition("5|3,-1,-2,-4|-5"))
+        want = bwb_cohomology(w, 0)
+        monkeypatch.setattr(geometry, "twist", None)
+        assert bwb_cohomology(w) == bwb_cohomology(w, 0) == want
+        assert want.dimension == 17640
+
     def test_singular_twist_vanishes(self):
         w = to_weight(parse_partition("1|0"))
         assert bwb_cohomology(w, 1) == geometry.CohomologyAnswer(None, 0, None)
@@ -345,8 +352,24 @@ class TestFlagGeometry:
                     reference_flag_degree(ft.lengths, a), (ft, a)
 
     def test_degree_needs_positive_blocks(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            flag_degree(FlagType((2, 0, 1)))
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match="nonempty"):
+                flag_degree(FlagType((2, 0, 1)))
+
+    def test_cached_degree_equals_uncached(self):
+        # The cache keys on (type, polarization): a non-default polarization
+        # of a type whose default degree is cached gets its own value.
+        ft, pol = FlagType((2, 3, 1)), PolarizationWeights((2, 3))
+        default = flag_degree(ft)
+        for _ in range(2):
+            assert flag_degree(ft, pol) == flag_degree.__wrapped__(ft, pol)
+            assert flag_degree(FlagType((2, 3, 1)), pol) == \
+                reference_flag_degree(ft.lengths, pol.a)
+        assert flag_degree(ft) == default == flag_degree.__wrapped__(ft)
+        assert flag_degree(ft, pol) != default
+
+    def test_degree_cache_is_bounded(self):
+        assert flag_degree.cache_parameters()["maxsize"] is not None
 
 
 class TestChecksUnderOptimize:
