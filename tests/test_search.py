@@ -217,6 +217,23 @@ class TestSearchTree:
             ((2, 8, 2), "caf40e0b0eb33fac78cab1b5569ef2f4ff3f6262268a382130f056ea44f02bbb"),
             ((1,) * 9, "49e122443b6aba96095f1bbb2f398127729b8843eff5847b630fab6892d35428"),
         ]
+    ] + [
+        # The deeper three-block trees: every type of total 11 or 12, then
+        # the deepest single types.
+        pytest.param(
+            [ft.lengths for total in (11, 12)
+             for ft in search._types_with_blocks(3, total)],
+            "0649f4837cc61bcdbabc62abf0cc4acfdd30977f118f97944c7b86ba9ca1aa62",
+            id="3-blocks-11-12"),
+    ] + [
+        pytest.param([lengths], digest,
+                     id="-".join(map(str, lengths)))
+        for lengths, digest in [
+            ((1, 13, 2), "d1d34167576495885c217b84aab6b4ebb82dee38937dfc2f7e1ccf0b45c00de7"),
+            ((2, 11, 2), "cc7fc07c9722a71631f570c9771251ba3b901339eeaacc7c2d0468722ff96e09"),
+            ((1, 14, 1), "9f9514c465249693a6f91d7b3c65b9870a1e9a8b9ed1f13e9c939fb81c253873"),
+            ((3, 8, 3), "b4382e9b58dad91a8d8e0fb45a276f7ed0892e1d2e1c076934d995b95eb7aff0"),
+        ]
     ])
     def test_visit_order_pinned(self, types, digest):
         assert self.walk_digest(types) == digest
