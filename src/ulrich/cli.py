@@ -12,9 +12,11 @@ completion.
 Only what parsing needs loads at start-up: ``core``, ``families`` (for the
 ``family`` table) and ``analysis``, which ``families`` imports.  Each
 handler imports the modules it runs, ``search``, ``geometry``, ``diagram``
-and ``json``, so a ``check`` never loads the search engine.  The help
-formatter works out the terminal width without argparse's ``shutil``
-import, which would load ``zlib``, ``bz2`` and ``lzma`` on every start.
+and ``json``, so a ``check`` never loads the search engine; a given
+``--threads`` or ``--budget-seconds`` loads it while parsing, to be checked
+by the search's own rule.  The help formatter works out the terminal
+width without argparse's ``shutil`` import, which would load ``zlib``,
+``bz2`` and ``lzma`` on every start.
 """
 
 from __future__ import annotations
@@ -44,6 +46,25 @@ def _parse_type(text: str) -> FlagType:
         return FlagType(tuple(int(x) for x in text.replace("|", ",").split(",")))
     except ValueError as exc:
         raise _usage(f"bad type {text!r}: {exc}")
+
+
+def _resource_type(convert, field: str):
+    """An argparse ``type`` for a resource option: ``convert`` the text,
+    then check it as ``field`` of ``search._check_resources``.  A refusal
+    is raised as ArgumentTypeError, so argparse names the option and exits
+    with 2.  ``search`` is imported only when the option is given."""
+    def parse(text):
+        value = convert(text)
+        from . import search
+        limits = {"budget_seconds": None, "workers": 1, field: value}
+        try:
+            search._check_resources(**limits)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    # argparse names the type in "invalid int value: 'x'".
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _emit(args, payload: dict, lines) -> None:
@@ -357,9 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit one JSON object instead of text")
     # Only the subcommands that run searches take resource options.
     searching = _Parser(add_help=False, parents=[common])
-    searching.add_argument("--budget-seconds", type=float, default=None,
+    searching.add_argument("--budget-seconds", default=None,
+                           type=_resource_type(float, "budget_seconds"),
                            help="stop long searches after this wall time")
-    searching.add_argument("--threads", type=int, default=1,
+    searching.add_argument("--threads", default=1,
+                           type=_resource_type(int, "workers"),
                            help="worker processes for searches")
 
     parser = _Parser(

@@ -89,25 +89,29 @@ def schur_dim(mu, n: int) -> int:
 
     Taken row by row: the contents of row i are n-i, ..., n-i+row-1, one
     ``math.perm``, and over the columns parts[k+1] <= j < parts[k], all of
-    length k+1, the hooks of row i are consecutive integers, one
-    ``math.perm`` per run.  The last row's hooks are row, ..., 1, so its
-    contents over its hooks are one ``math.comb``.  So the work grows with
-    the number of rows, not with the number of boxes.
+    length k+1, the hooks of row i (i <= k) are consecutive integers, one
+    ``math.perm`` per run.  A row k as long as the next ends no column and
+    is skipped.  The last row's hooks are row, ..., 1, so its contents
+    over its hooks are one ``math.comb``.  So the work grows with the
+    number of rows, not with the number of boxes.
     """
     parts = _normalize_weight(mu, n)
     if len(parts) > n:
         return 0
-    below = parts[1:] + (0,)
+    last = len(parts) - 1
     num = den = 1
     for i, row in enumerate(parts[:-1]):
         num *= math.perm(n - i + row - 1, row)
-        for k in range(i, len(parts)):
-            # The hook of box (i, j) in a column of length k+1 is
-            # row - j + k - i; j runs from below[k] up to parts[k] - 1.
-            den *= math.perm(row - below[k] + k - i, parts[k] - below[k])
+    for k, part in enumerate(parts):
+        low = parts[k + 1] if k < last else 0
+        if part == low:
+            continue
+        # The hook of box (i, j) in a column of length k+1 is
+        # parts[i] - j + k - i; j runs from low up to part - 1.
+        for i in range(min(k + 1, last)):
+            den *= math.perm(parts[i] - low + k - i, part - low)
     if parts:
-        i = len(parts) - 1
-        num *= math.comb(n - i + parts[i] - 1, parts[i])
+        num *= math.comb(n - last + parts[last] - 1, parts[last])
     dim, rem = divmod(num, den)
     if rem:
         raise RuntimeError("hook-content product must divide exactly")

@@ -40,19 +40,27 @@ Two independent engines:
   class is discovered exactly once.  Partitions are reported in canonical
   form (smallest entry 0).
 
-  The walk is one recursive closure whose arguments are the covered-time
-  bitmask and the number of placed entries.  The rest of its state is kept
-  per block and updated incrementally, as in Knuth's dancing links: the
-  entries, the top and bottom entry, and two bitmasks of the entries (bit
-  v + OFF and bit OFF - v) are pushed with each entry before a recursive
-  call and restored after it, never rebuilt at a node.  Both moves read a
-  block's top and bottom at t0 straight from its extremes (only the
-  residues and the crossings with blocks two or more apart read every
-  placed entry).  Against an adjacent block the crossing times are x - v
-  or v - x; once the block's extremes put them all in [t0, N], the whole
-  set of time bits is one right shift of a mask, and a clash is one AND
-  with the covered times.  The tests pin the node count of several types
-  and digests of the visiting order.
+  Each node is one call of a recursive closure whose arguments are the
+  covered-time bitmask and the number of placed entries.  The rest of
+  the walk's state is kept per block and updated incrementally, as in
+  Knuth's dancing links: the entries, the top and bottom entry, and two
+  bitmasks of the entries (bit v + OFF and bit OFF - v) are pushed with
+  each entry before a recursive call and restored after it, never rebuilt
+  at a node.  Both moves read a block's top and bottom at t0 straight
+  from its extremes (only the residues and the crossings with blocks two
+  or more apart read every placed entry).  Against an adjacent block the
+  crossing times are x - v or v - x; once the block's extremes put them
+  all in [t0, N], the whole set of time bits is one right shift of a
+  mask, and a clash is one AND with the covered times.
+
+  There are two node functions, chosen by the number of blocks R.  A
+  three-block type (a two-step flag, the types the paper classifies) gets
+  one written out for R = 3: each block's targets, window and crossing
+  test are straight-line code, with no loop over blocks.  Every other
+  type gets the general one, which loops over the blocks.  Both visit the
+  same children in the same order and share the rest of the walk.  The
+  tests pin the node count of several types and digests of the visiting
+  order, which guard both node functions.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
@@ -323,15 +331,25 @@ def _walk(lengths, state, depth, deadline):
     bitmask with bit t-1 set when time t is realized by a placed pair, and
     ``placed`` counts the placed entries.  States with ``depth`` entries
     placed are not expanded but returned as snapshots, in the order the
-    search reaches them, so a worker process can resume them.  Each node is
-    one call of ``dfs(covered, placed)``.  The placed entries live in
-    ``det``; each block's top and bottom entry, its entry masks ``fwd``
-    and ``rev`` and its ``room`` for more entries are built once from
-    ``state``, then ``place`` pushes an entry onto all of them before a
-    recursive call and ``unplace`` pops it and restores the saved values
-    after it (the (B) move does both inline).  ``cross`` tests an adjacent
-    block by one shift of its mask and other blocks entry by entry.  The
-    constants of the type come from ``_type_tables``.
+    search reaches them, so a worker process can resume them.  The root
+    is ``gauge``; every other node is one call of ``dfs(covered, placed)``.
+    The placed entries live in ``det``; each block's top and bottom entry,
+    its entry masks ``fwd`` and ``rev`` and its ``room`` for more entries
+    are built once from ``state``, then ``place`` pushes an entry onto all
+    of them before a recursive call and ``unplace`` pops it and restores
+    the saved values after it.  ``crosses[b]`` tests a new entry of block
+    b: an adjacent block by one shift of its mask, other blocks entry by
+    entry.  The constants of the type come from ``_type_tables``.
+
+    There are two node functions, chosen by the number of blocks.  A
+    three-block type (a two-step flag) gets one written out for R = 3: it
+    reads the six block extremes once, works out each open block's (B)
+    targets and (D) window without a loop over blocks, and its three
+    crossing tests name their blocks and distances.  Every other type gets
+    the general one, which loops over the blocks.  Both visit the same
+    children in the same order, and share everything else: the state,
+    ``place``/``unplace``, ``descend``, ``leaf``, ``tick``, the gauge move
+    and the (D) pair loop ``pair_moves``.
 
     Returns (found, frontier, nodes, completed): the canonical blocks of
     each class found, the snapshots, the node count, and whether the walk
@@ -347,9 +365,6 @@ def _walk(lengths, state, depth, deadline):
     det = [list(block) for block in det]
     found = []
     frontier = []
-    # others[b]: (m, m - b, entries) for every block m other than b.
-    others = [[(m, m - b, det[m]) for m in range(R) if m != b]
-              for b in range(R)]
     # room[b]: how many entries block b still lacks.
     room = [lengths[b] - len(det[b]) for b in range(R)]
     # Every placed entry v obeys |v| <= (R-1)(N+1): it meets an entry e
@@ -362,18 +377,33 @@ def _walk(lengths, state, depth, deadline):
     # shift count >= 0; Python's ValueError on a negative shift would
     # expose a bound that is too small.
     OFF = (R - 1) * (2 * N + 1)
-    # Per block: top and bottom entry (None when empty), and the entries
-    # as bit v + OFF of fwd and bit OFF - v of rev.  place() pushes an
-    # entry and returns what unplace() restores when it is popped.
-    top = [max(blk, default=None) for blk in det]
-    bot = [min(blk, default=None) for blk in det]
+    # Per block: top and bottom entry, and the entries as bit v + OFF of
+    # fwd and bit OFF - v of rev.  An empty block has top -FAR and bottom
+    # FAR.  A real position, bound or candidate lies within OFF + N(R-1)
+    # of 0, and a sentinel moved to t0 stays beyond 2*OFF - N(R-1), which
+    # is more; so an empty block never wins a max or a min, passes every
+    # range check, and adds no crossing time with its mask 0.  place()
+    # pushes an entry and returns what unplace() restores when it is
+    # popped.
+    FAR = 2 * OFF
+    top = [max(blk, default=-FAR) for blk in det]
+    bot = [min(blk, default=FAR) for blk in det]
     fwd = [sum(1 << (v + OFF) for v in blk) for blk in det]
     rev = [sum(1 << (OFF - v) for v in blk) for blk in det]
     nodes = 0
     # The node count at which the clock is read next.
     due = _NEVER if deadline is None else 1
 
-    def record():
+    def tick():
+        nonlocal due
+        if time.monotonic() > deadline:
+            raise BudgetExhausted
+        due = (nodes // 1024 + 1) * 1024
+
+    def leaf(covered, placed):
+        if placed < total:
+            frontier.append(([blk[:] for blk in det], covered, placed))
+            return
         blocks = [sorted(block, reverse=True) for block in det]
         low = blocks[-1][-1]
         found.append(tuple(tuple(v - low for v in block)
@@ -383,11 +413,9 @@ def _walk(lengths, state, depth, deadline):
         saved = top[b], bot[b], fwd[b], rev[b]
         det[b].append(x)
         room[b] -= 1
-        if saved[0] is None:
-            top[b] = bot[b] = x
-        elif x > saved[0]:
+        if x > saved[0]:
             top[b] = x
-        elif x < saved[1]:
+        if x < saved[1]:
             bot[b] = x
         fwd[b] |= 1 << (x + OFF)
         rev[b] |= 1 << (OFF - x)
@@ -398,44 +426,25 @@ def _walk(lengths, state, depth, deadline):
         room[b] += 1
         top[b], bot[b], fwd[b], rev[b] = saved
 
-    def cross(b, x, t0, acc):
-        """acc plus the crossing-time bits of entry x new in block b.
-
-        Every crossing with a placed entry must be an integer time in
-        [t0, N] whose bit is clear in acc; otherwise returns -1.  Against
-        an adjacent block the crossing times are x - v (m = b + 1) or
-        v - x (m = b - 1); once the block's top and bottom put them all
-        in [t0, N], bit t-1 of each is one shift of rev or fwd.
-        """
-        for m, d, blk in others[b]:
-            if d == 1:
-                q = top[m]
-                if q is None:
-                    continue
-                if q > x - t0 or bot[m] < x - N:
-                    return -1
-                times = rev[m] >> (OFF + 1 - x)
-            elif d == -1:
-                q = bot[m]
-                if q is None:
-                    continue
-                if q < x + t0 or top[m] > x + N:
-                    return -1
-                times = fwd[m] >> (x + OFF + 1)
-            else:
-                for v in blk:
-                    t, rem = divmod(x - v, d)
-                    if rem or t < t0 or t > N:
-                        return -1
-                    bit = 1 << (t - 1)
-                    if acc & bit:
-                        return -1
-                    acc |= bit
-                continue
-            if acc & times:
-                return -1
-            acc |= times
-        return acc
+    def descend(b, x, acc, placed):
+        """The (B) child: x joins block b, with covered times acc.  Most
+        children are (B) children, so place() and unplace() are inlined."""
+        blk = det[b]
+        saved_top, saved_bot = top[b], bot[b]
+        saved_fwd, saved_rev = fwd[b], rev[b]
+        blk.append(x)
+        room[b] -= 1
+        if x > saved_top:
+            top[b] = x
+        if x < saved_bot:
+            bot[b] = x
+        fwd[b] = saved_fwd | 1 << (x + OFF)
+        rev[b] = saved_rev | 1 << (OFF - x)
+        dfs(acc, placed + 1)
+        blk.pop()
+        room[b] += 1
+        top[b], bot[b] = saved_top, saved_bot
+        fwd[b], rev[b] = saved_fwd, saved_rev
 
     def residue(s):
         """The congruence x = r (mod M), as (r, M), that a new entry x
@@ -456,114 +465,19 @@ def _walk(lengths, state, depth, deadline):
             r, M = solved
         return r, M
 
-    def dfs(covered, placed):
-        nonlocal nodes, due
-        nodes += 1
-        if nodes >= due:
-            if time.monotonic() > deadline:
-                raise BudgetExhausted
-            due = (nodes // 1024 + 1) * 1024
-        if placed >= stop:
-            if placed == total:
-                record()
-            else:
-                frontier.append(([blk[:] for blk in det], covered, placed))
-            return
-        t0 = ((covered + 1) & ~covered).bit_length()
-        if not placed:
-            # Gauge-fixing move: the pair realizing time 1 sits at 0.
-            for i, j in pairs:
-                saved_i = place(i, shifts[t0][i])
-                saved_j = place(j, shifts[t0][j])
-                dfs(covered | 1 << (t0 - 1), 2)
-                unplace(j, saved_j)
-                unplace(i, saved_i)
-            return
+    def pair_moves(windows, t0, covered, placed):
+        """(D) two new entries in blocks i < j meet each other at t0.
 
-        # (B) one new entry in block b meets a placed one: at the top of
-        # the later blocks or at the bottom of the earlier ones.
-        # (D) two new entries in blocks i < j meet each other at a
-        # position p.  Every placed entry at position q in block m bounds
-        # where a new entry of block s != m may sit at t0, since the two
-        # must cross at a time in [t0, N]: p in [q+1, q+span*(m-s)] when
-        # m > s and p in [q-span*(s-m), q-1] when m < s.  The block's
-        # top and bottom at t0, top[m] - shift[m] and bot[m] - shift[m],
-        # give the tightest of these bounds; windows holds (s, lo, hi) for
-        # each open block whose window is not empty.
-        span = N - t0
+        ``windows`` holds (s, lo, hi) for each open block whose window of
+        positions at t0 is not empty; a pair's window is the overlap of
+        its blocks' windows.  The crossings of a new entry x of block s
+        with a placed entry v of block m are integers only if
+        x = v (mod |m-s|); residue(s) folds these into one congruence
+        x = r (mod M), worked out once per node and only for blocks of a
+        pair whose window is open.
+        """
         shift = shifts[t0]
-        windows = []
-        for b in range(R):
-            if not room[b]:
-                continue
-            high = low = lo = hi = None
-            for m in later[b]:
-                q = top[m]
-                if q is not None:
-                    q -= shift[m]
-                    if high is None or q > high:
-                        high = q
-                    q = bot[m] - shift[m] + span * (m - b)
-                    if hi is None or q < hi:
-                        hi = q
-            for m in earlier[b]:
-                q = bot[m]
-                if q is not None:
-                    q -= shift[m]
-                    if low is None or q < low:
-                        low = q
-                    q = top[m] - shift[m] - span * (b - m)
-                    if lo is None or q > lo:
-                        lo = q
-            if high is None:
-                targets = (low,)
-                hi = low - 1
-            elif low is None:
-                targets = (high,)
-                lo = high + 1
-            else:
-                # The set fixes the order the two targets are tried in.
-                targets = {high, low}
-                if high >= lo:
-                    lo = high + 1
-                if low <= hi:
-                    hi = low - 1
-            if lo <= hi:
-                windows.append((b, lo, hi))
-            blk = det[b]
-            for q in targets:
-                x = q + shift[b]
-                # x is not yet in block b: it meets a placed entry of
-                # another block at t0, so were it placed, t0 would be covered.
-                acc = cross(b, x, t0, covered)
-                if acc < 0:
-                    continue
-                # place(b, x) and unplace, inlined.
-                saved_top, saved_bot = top[b], bot[b]
-                saved_fwd, saved_rev = fwd[b], rev[b]
-                blk.append(x)
-                room[b] -= 1
-                if saved_top is None:
-                    top[b] = bot[b] = x
-                elif x > saved_top:
-                    top[b] = x
-                elif x < saved_bot:
-                    bot[b] = x
-                fwd[b] = saved_fwd | 1 << (x + OFF)
-                rev[b] = saved_rev | 1 << (OFF - x)
-                dfs(acc, placed + 1)
-                blk.pop()
-                room[b] += 1
-                top[b], bot[b] = saved_top, saved_bot
-                fwd[b], rev[b] = saved_fwd, saved_rev
-
-        # A pair's window is the overlap of its blocks' windows.  The
-        # crossings of a new entry x of block s with a placed entry v of
-        # block m are integers only if x = v (mod |m-s|); residue(s)
-        # folds these into one congruence x = r (mod M), worked out once
-        # per node and only for blocks of a pair whose window is open.
-        if len(windows) < 2:
-            return
+        covered |= 1 << (t0 - 1)
         residues = {}
         for (i, lo, hi), (j, lo_j, hi_j) in itertools.combinations(
                 windows, 2):
@@ -586,13 +500,14 @@ def _walk(lengths, state, depth, deadline):
             if step is None:
                 continue
             rp, M = step
+            cross_i, cross_j = crosses[i], crosses[j]
             for p in range(lo + (rp - lo) % M, hi + 1, M):
                 x = p + si
                 y = p + sj
-                acc = cross(i, x, t0, covered | 1 << (t0 - 1))
+                acc = cross_i(x, t0, covered)
                 if acc < 0:
                     continue
-                acc = cross(j, y, t0, acc)
+                acc = cross_j(y, t0, acc)
                 if acc < 0:
                     continue
                 saved_i = place(i, x)
@@ -601,8 +516,268 @@ def _walk(lengths, state, depth, deadline):
                 unplace(j, saved_j)
                 unplace(i, saved_i)
 
+    def gauge():
+        """The root, with nothing placed: the pair realizing time 1 sits
+        at 0, which fixes the translation gauge."""
+        nonlocal nodes
+        nodes += 1
+        if nodes >= due:
+            tick()
+        for i, j in pairs:
+            saved_i = place(i, shifts[1][i])
+            saved_j = place(j, shifts[1][j])
+            dfs(1, 2)
+            unplace(j, saved_j)
+            unplace(i, saved_i)
+
+    # (B) one new entry in block b meets a placed one: at the top of the
+    # later blocks or at the bottom of the earlier ones.  (D) two new
+    # entries in blocks i < j meet each other at a position p.  Every
+    # placed entry at position q in block m bounds where a new entry of
+    # block s != m may sit at t0, since the two must cross at a time in
+    # [t0, N]: p in [q+1, q+span*(m-s)] when m > s and p in
+    # [q-span*(s-m), q-1] when m < s.  The block's top and bottom at t0,
+    # top[m] - shift[m] and bot[m] - shift[m], give the tightest of these
+    # bounds.
+    if R == 3:
+        # Block m descends at speed 2 - m: shifts[t0] = (2*t0, t0, 0), and
+        # a new entry x of block b meets v of block m at (x - v)/(m - b).
+        det0, det1, det2 = det
+
+        def cross_0(x, t0, acc):
+            """cross for block 0: block 1 by a shift, block 2 by entry."""
+            if top[1] > x - t0 or bot[1] < x - N:
+                return -1
+            times = rev[1] >> (OFF + 1 - x)
+            if acc & times:
+                return -1
+            acc |= times
+            for v in det2:
+                d = x - v
+                if d & 1:
+                    return -1
+                t = d >> 1
+                if t < t0 or t > N:
+                    return -1
+                bit = 1 << (t - 1)
+                if acc & bit:
+                    return -1
+                acc |= bit
+            return acc
+
+        def cross_1(x, t0, acc):
+            """cross for block 1: blocks 0 and 2 by a shift each."""
+            if bot[0] < x + t0 or top[0] > x + N:
+                return -1
+            if top[2] > x - t0 or bot[2] < x - N:
+                return -1
+            times = fwd[0] >> (x + OFF + 1)
+            if acc & times:
+                return -1
+            times2 = rev[2] >> (OFF + 1 - x)
+            if (acc | times) & times2:
+                return -1
+            return acc | times | times2
+
+        def cross_2(x, t0, acc):
+            """cross for block 2: block 1 by a shift, block 0 by entry."""
+            if bot[1] < x + t0 or top[1] > x + N:
+                return -1
+            times = fwd[1] >> (x + OFF + 1)
+            if acc & times:
+                return -1
+            acc |= times
+            for v in det0:
+                d = v - x
+                if d & 1:
+                    return -1
+                t = d >> 1
+                if t < t0 or t > N:
+                    return -1
+                bit = 1 << (t - 1)
+                if acc & bit:
+                    return -1
+                acc |= bit
+            return acc
+
+        crosses = cross_0, cross_1, cross_2
+
+        def dfs(covered, placed):
+            nonlocal nodes
+            nodes += 1
+            if nodes >= due:
+                tick()
+            if placed >= stop:
+                leaf(covered, placed)
+                return
+            t0 = ((covered + 1) & ~covered).bit_length()
+            span = N - t0
+            t2 = t0 + t0
+            top0, top1, top2 = top
+            bot0, bot1, bot2 = bot
+            windows = []
+            if room[0]:
+                # Its one target is the top of blocks 1 and 2 at t0.
+                q = top1 - t0
+                if top2 > q:
+                    q = top2
+                hi = bot1 - t0 + span
+                if bot2 + span + span < hi:
+                    hi = bot2 + span + span
+                if q < hi:
+                    windows.append((0, q + 1, hi))
+                acc = cross_0(q + t2, t0, covered)
+                if acc >= 0:
+                    descend(0, q + t2, acc, placed)
+            if room[1]:
+                # The top of block 2 and the bottom of block 0 at t0; the
+                # set fixes the order the two targets are tried in.
+                high = top2
+                low = bot0 - t2
+                lo = top0 - t2 - span
+                if high >= lo:
+                    lo = high + 1
+                hi = bot2 + span
+                if low <= hi:
+                    hi = low - 1
+                if lo <= hi:
+                    windows.append((1, lo, hi))
+                if not det0:
+                    targets = (high,)
+                elif not det2:
+                    targets = (low,)
+                else:
+                    targets = {high, low}
+                for q in targets:
+                    acc = cross_1(q + t0, t0, covered)
+                    if acc >= 0:
+                        descend(1, q + t0, acc, placed)
+            if room[2]:
+                # Its one target is the bottom of blocks 0 and 1 at t0.
+                q = bot0 - t2
+                if bot1 - t0 < q:
+                    q = bot1 - t0
+                lo = top0 - t2 - span - span
+                if top1 - t0 - span > lo:
+                    lo = top1 - t0 - span
+                if lo < q:
+                    windows.append((2, lo, q - 1))
+                acc = cross_2(q, t0, covered)
+                if acc >= 0:
+                    descend(2, q, acc, placed)
+            if len(windows) > 1:
+                pair_moves(windows, t0, covered, placed)
+    else:
+        # others[b]: (m, m - b, entries) for every block m other than b.
+        others = [[(m, m - b, det[m]) for m in range(R) if m != b]
+                  for b in range(R)]
+
+        def crosser(b):
+            def cross(x, t0, acc):
+                """acc plus the crossing-time bits of entry x new in
+                block b.
+
+                Every crossing with a placed entry must be an integer
+                time in [t0, N] whose bit is clear in acc; otherwise
+                returns -1.  Against an adjacent block the crossing times
+                are x - v (m = b + 1) or v - x (m = b - 1); once the
+                block's top and bottom put them all in [t0, N], bit t-1
+                of each is one shift of rev or fwd.
+                """
+                for m, d, blk in others[b]:
+                    # An empty block would pass; skipping it is faster.
+                    if not blk:
+                        continue
+                    if d == 1:
+                        if top[m] > x - t0 or bot[m] < x - N:
+                            return -1
+                        times = rev[m] >> (OFF + 1 - x)
+                    elif d == -1:
+                        if bot[m] < x + t0 or top[m] > x + N:
+                            return -1
+                        times = fwd[m] >> (x + OFF + 1)
+                    else:
+                        for v in blk:
+                            t, rem = divmod(x - v, d)
+                            if rem or t < t0 or t > N:
+                                return -1
+                            bit = 1 << (t - 1)
+                            if acc & bit:
+                                return -1
+                            acc |= bit
+                        continue
+                    if acc & times:
+                        return -1
+                    acc |= times
+                return acc
+            return cross
+
+        crosses = [crosser(b) for b in range(R)]
+
+        def dfs(covered, placed):
+            nonlocal nodes
+            nodes += 1
+            if nodes >= due:
+                tick()
+            if placed >= stop:
+                leaf(covered, placed)
+                return
+            t0 = ((covered + 1) & ~covered).bit_length()
+            span = N - t0
+            shift = shifts[t0]
+            windows = []
+            for b in range(R):
+                if not room[b]:
+                    continue
+                high = low = lo = hi = None
+                for m in later[b]:
+                    if det[m]:
+                        q = top[m] - shift[m]
+                        if high is None or q > high:
+                            high = q
+                        q = bot[m] - shift[m] + span * (m - b)
+                        if hi is None or q < hi:
+                            hi = q
+                for m in earlier[b]:
+                    if det[m]:
+                        q = bot[m] - shift[m]
+                        if low is None or q < low:
+                            low = q
+                        q = top[m] - shift[m] - span * (b - m)
+                        if lo is None or q > lo:
+                            lo = q
+                if high is None:
+                    targets = (low,)
+                    hi = low - 1
+                elif low is None:
+                    targets = (high,)
+                    lo = high + 1
+                else:
+                    # The set fixes the order the two targets are tried in.
+                    targets = {high, low}
+                    if high >= lo:
+                        lo = high + 1
+                    if low <= hi:
+                        hi = low - 1
+                if lo <= hi:
+                    windows.append((b, lo, hi))
+                cross = crosses[b]
+                for q in targets:
+                    # x is not yet in block b: it meets a placed entry of
+                    # another block at t0, so were it placed, t0 would be
+                    # covered.
+                    x = q + shift[b]
+                    acc = cross(x, t0, covered)
+                    if acc >= 0:
+                        descend(b, x, acc, placed)
+            if len(windows) > 1:
+                pair_moves(windows, t0, covered, placed)
+
     try:
-        dfs(covered, placed)
+        if placed:
+            dfs(covered, placed)
+        else:
+            gauge()
     except BudgetExhausted:
         return found, [], nodes, False
     return found, frontier, nodes, True

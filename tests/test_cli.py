@@ -473,7 +473,10 @@ class TestParser:
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_bad_resource_values(self, argv, capsys):
         assert run(argv) == 2
-        assert "must be at least" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be at least" in err
+        # The message names the option that was given, not the parameter.
+        assert f"argument {argv[-2]}:" in err
 
     def test_parser_built_once_and_reused(self, capsys):
         assert cli.build_parser() is cli.build_parser()
