@@ -542,10 +542,11 @@ def _walk(lengths, state, depth, deadline):
     if R == 3:
         # Block m descends at speed 2 - m: shifts[t0] = (2*t0, t0, 0), and
         # a new entry x of block b meets v of block m at (x - v)/(m - b).
-        det0, det1, det2 = det
+        det0, _, det2 = det
 
         def cross_0(x, t0, acc):
-            """cross for block 0: block 1 by a shift, block 2 by entry."""
+            """The crossing test of block 0: block 1 by a shift, block 2
+            entry by entry."""
             if top[1] > x - t0 or bot[1] < x - N:
                 return -1
             times = rev[1] >> (OFF + 1 - x)
@@ -566,7 +567,8 @@ def _walk(lengths, state, depth, deadline):
             return acc
 
         def cross_1(x, t0, acc):
-            """cross for block 1: blocks 0 and 2 by a shift each."""
+            """The crossing test of block 1: blocks 0 and 2 by a shift
+            each."""
             if bot[0] < x + t0 or top[0] > x + N:
                 return -1
             if top[2] > x - t0 or bot[2] < x - N:
@@ -580,7 +582,8 @@ def _walk(lengths, state, depth, deadline):
             return acc | times | times2
 
         def cross_2(x, t0, acc):
-            """cross for block 2: block 1 by a shift, block 0 by entry."""
+            """The crossing test of block 2: block 1 by a shift, block 0
+            entry by entry."""
             if bot[1] < x + t0 or top[1] > x + N:
                 return -1
             times = fwd[1] >> (x + OFF + 1)
