@@ -207,6 +207,10 @@ class TestSearchTree:
             (4, "bf52b33202bdefd27ae1a93d729d4fdb74f0116239439bdd3eeb6acab5fc545d"),
             (5, "26e7e122eeddc3e1173adce5fd752db7cd459ba28c1ebcf7cc50b20f0c99e875"),
             (6, "e6751423358982d572013a275882eb1d566bded3a208e2832779fd366e6e9ae7"),
+            (7, "ba7d2593691603ae3fea4400de82b2167f929710d79d6d6f364f05c831452215"),
+            (8, "52f268b6ec3ee0c319e0386cdf7b95b103f69630544c7ca9a8816518682045e7"),
+            (9, "90eb390439fb0bdbd4f2f4a89d8cbab285282df40bf88897fb66dc0dd8c45749"),
+            (10, "2ea32c036b4a201231357e6a3f0f9a9542867fe2debc8dc3ef45e795ade9368b"),
         ]
     ] + [
         pytest.param([lengths], digest,
