@@ -53,14 +53,12 @@ Two independent engines:
   all in [t0, N], the whole set of time bits is one right shift of a
   mask, and a clash is one AND with the covered times.
 
-  There are two node functions, chosen by the number of blocks R.  A
-  three-block type (a two-step flag, the types the paper classifies) gets
-  one written out for R = 3: each block's targets, window and crossing
-  test are straight-line code, with no loop over blocks.  Every other
-  type gets the general one, which loops over the blocks.  Both visit the
-  same children in the same order and share the rest of the walk.  The
-  tests pin the node count of several types and digests of the visiting
-  order, which guard both node functions.
+  The node function is generated for the number of blocks R (``_node``)
+  and compiled once per R: each block's targets, window and crossing
+  test are straight-line code, with the blocks and their distances as
+  literals and no loop over blocks.  The tests pin the node count of
+  several types and digests of the visiting order of every type with
+  2 to 10 blocks and total at most 10, which guard the one generator.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
@@ -308,19 +306,198 @@ def _type_tables(lengths):
 
     Entries of block m descend at speed vm[m] = R-1-m: an entry v sits at
     position v - shifts[t][m] at time t, with shifts[t][m] = t*vm[m].
-    pairs lists the block pairs i < j; later[b] and earlier[b] the blocks
-    after and before b; far[b] the pairs (m, |m - b|) with |m - b| >= 2.
+    far[b] lists the pairs (m, |m - b|) with |m - b| >= 2.
     """
     R = len(lengths)
     N = FlagType(lengths).dimension
     vm = tuple(-core.velocity(m, R - 1) for m in range(R))
     shifts = tuple(tuple(t * v for v in vm) for t in range(N + 1))
-    pairs = tuple((i, j) for i in range(R - 1) for j in range(i + 1, R))
-    later = tuple(tuple(range(b + 1, R)) for b in range(R))
-    earlier = tuple(tuple(range(b)) for b in range(R))
     far = tuple(tuple((m, abs(m - b)) for m in range(R) if abs(m - b) >= 2)
                 for b in range(R))
-    return N, shifts, pairs, later, earlier, far
+    return N, shifts, far
+
+
+# The source of ``_node``, less each block's crossing test and moves.
+_NODE_TEMPLATE = '''\
+def node(N, OFF, top, bot, fwd, rev, room, det, stop, due, tick, leaf,
+         place, unplace, descend, pair_moves):
+    {dets} = det
+    nodes = 0
+{crosses}
+    def dfs(covered, placed):
+        nonlocal nodes, due
+        nodes += 1
+        if nodes >= due:
+            due = tick(nodes)
+        if placed >= stop:
+            leaf(covered, placed)
+            return
+        t0 = ((covered + 1) & ~covered).bit_length()
+        span = N - t0
+{multiples}        {tops} = top
+        {bots} = bot
+        windows = []
+{moves}        if len(windows) > 1:
+            pair_moves(windows, t0, covered, placed)
+
+    def run(covered, placed):
+        nonlocal nodes, due
+        try:
+            if placed:
+                dfs(covered, placed)
+            else:
+                # The root: the pair meeting at time 1 sits at 0 (gauge).
+                nodes += 1
+                if nodes >= due:
+                    due = tick(nodes)
+                for i, j in {pairs}:
+                    saved_i = place(i, {last} - i)
+                    saved_j = place(j, {last} - j)
+                    dfs(1, 2)
+                    unplace(j, saved_j)
+                    unplace(i, saved_i)
+        except BudgetExhausted:
+            return nodes, False
+        return nodes, True
+
+    return dfs, ({names}), run
+'''
+
+
+@functools.cache
+def _node(R):
+    """The node function of ``_walk`` for R blocks, compiled once per R.
+
+    ``node(...)`` binds one walk's state and returns (dfs, crosses, run):
+    the node ``dfs(covered, placed)``, each block's crossing test, and
+    ``run(covered, placed)``, which walks from a state (from the gauge
+    move when nothing is placed) and returns (nodes, completed).  The node
+    counter and the next clock read are its locals.
+
+    The code has no loop over blocks.  Block m lies k*t0 lower at t0, with
+    k = R-1-m; each k*t0 and d*span is computed once per node.  Block b's
+    (B) targets are ``high``, the highest top of the later blocks at t0,
+    and ``low``, the lowest bottom of the earlier ones.  A placed entry at
+    q in block m confines a new entry of block b at t0 to [q+1,
+    q+span*(m-b)] when m > b and to [q-span*(b-m), q-1] when m < b, since
+    the two must cross at a time in [t0, N]; ``hi`` and ``lo`` are the
+    tightest of these bounds, and b's (D) window lies above ``high`` and
+    ``lo`` and below ``low`` and ``hi``.  A middle block tries ``low``
+    alone when ``high < -OFF`` (its later blocks are all empty; see
+    ``_walk``), ``high`` alone when ``low > OFF``, and otherwise the set
+    {high, low}, which fixes the order the two are tried in.
+    ``cross_b(x, t0, acc)`` tests the blocks in order, with their
+    distances as literals: an adjacent block by one shift of its mask, a
+    block two away by parity and a shift, and any other by ``divmod``.
+    The source is registered with ``linecache``, so that ``traceback``
+    and ``pdb`` show its lines.
+    """
+    import linecache
+
+    # The names of k*t0 and d*span in the node, for k, d >= 1.
+    kt0 = [None, "t0"] + [f"t{k}" for k in range(2, R)]
+    dspan = [None, "span"] + [f"s{d}" for d in range(2, R)]
+
+    def moved(name, k, sign):
+        return f"{name} {sign} {kt0[k]}" if k else name
+
+    def at_t0(extreme, m):
+        return moved(f"{extreme}{m}", R - 1 - m, "-")
+
+    def running(name, better, terms):
+        # name = the best of terms, where a beats b when a `better` b.
+        lines = [f"    {name} = {terms[0]}"]
+        for term in terms[1:]:
+            lines += [f"    q = {term}", f"    if q {better} {name}:",
+                      f"        {name} = q"]
+        return lines
+
+    def cross(b):
+        lines = ["", f"def cross_{b}(x, t0, acc):"]
+        for m in range(R):
+            d = m - b
+            if d == 1:
+                lines += [f"    if top[{m}] > x - t0 or bot[{m}] < x - N:",
+                          "        return -1",
+                          f"    times = rev[{m}] >> (OFF + 1 - x)"]
+            elif d == -1:
+                lines += [f"    if bot[{m}] < x + t0 or top[{m}] > x + N:",
+                          "        return -1",
+                          f"    times = fwd[{m}] >> (x + OFF + 1)"]
+            elif d:
+                if abs(d) == 2:
+                    test = [f"d = {'x - v' if d > 0 else 'v - x'}",
+                            "if d & 1:", "    return -1", "t = d >> 1",
+                            "if t < t0 or t > N:"]
+                else:
+                    test = [f"t, r = divmod(x - v, {d})",
+                            "if r or t < t0 or t > N:"]
+                lines.append(f"    for v in det{m}:")
+                lines += ["        " + line for line in test + [
+                    "    return -1", "times = 1 << (t - 1)"]]
+            if d:
+                pad = "    " * min(abs(d), 2)
+                lines += [pad + "if acc & times:", pad + "    return -1",
+                          pad + "acc |= times"]
+        return lines + ["    return acc"]
+
+    def moves(b):
+        later, earlier = range(b + 1, R), range(b)
+        lines = [f"if room[{b}]:"]
+        if later:
+            lines += running("high", ">", [at_t0("top", m) for m in later])
+            lines += running("hi", "<", [f"{at_t0('bot', m)} + {dspan[m - b]}"
+                                         for m in later])
+        if earlier:
+            lines += running("low", "<", [at_t0("bot", m) for m in earlier])
+            lines += running("lo", ">", [f"{at_t0('top', m)} - {dspan[b - m]}"
+                                         for m in earlier])
+
+        def attempt(q):
+            # q at t0 is x at time 0, tried as a new entry of block b.
+            return [f"x = {moved(q, R - 1 - b, '+')}",
+                    f"acc = cross_{b}(x, t0, covered)", "if acc >= 0:",
+                    f"    descend({b}, x, acc, placed)"]
+
+        if not (earlier and later):
+            # An end block: one target, and a window bounded by it.
+            test, window = (("high < hi", "high + 1, hi") if later
+                            else ("lo < low", "lo, low - 1"))
+            lines += [f"    if {test}:",
+                      f"        windows.append(({b}, {window}))"]
+            attempts = attempt("high" if later else "low")
+        else:
+            lines += ["    if high >= lo:", "        lo = high + 1",
+                      "    if low <= hi:", "        hi = low - 1",
+                      "    if lo <= hi:",
+                      f"        windows.append(({b}, lo, hi))",
+                      "    if high < -OFF:", "        targets = (low,)",
+                      "    elif low > OFF:", "        targets = (high,)",
+                      "    else:", "        targets = {high, low}",
+                      "    for q in targets:"]
+            attempts = ["    " + line for line in attempt("q")]
+        return lines + ["    " + line for line in attempts]
+
+    def indent(lines, pad):
+        return "".join(pad + line + "\n" if line else "\n" for line in lines)
+
+    multiples = [f"{kt0[k]} = t0 * {k}" for k in range(2, R)]
+    multiples += [f"{dspan[d]} = span * {d}" for d in range(2, R)]
+    source = _NODE_TEMPLATE.format(
+        dets=", ".join(f"det{m}" for m in range(R)),
+        crosses=indent(sum(map(cross, range(R)), []), "    "),
+        multiples=indent(multiples, "        "),
+        tops=", ".join(f"top{m}" for m in range(R)),
+        bots=", ".join(f"bot{m}" for m in range(R)),
+        moves=indent(sum(map(moves, range(R)), []), "        "),
+        pairs=tuple(itertools.combinations(range(R), 2)), last=R - 1,
+        names=", ".join(f"cross_{b}" for b in range(R)))
+    filename = f"<ulrich.search._node({R})>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"BudgetExhausted": BudgetExhausted}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["node"]
 
 
 def _walk(lengths, state, depth, deadline):
@@ -331,25 +508,14 @@ def _walk(lengths, state, depth, deadline):
     bitmask with bit t-1 set when time t is realized by a placed pair, and
     ``placed`` counts the placed entries.  States with ``depth`` entries
     placed are not expanded but returned as snapshots, in the order the
-    search reaches them, so a worker process can resume them.  The root
-    is ``gauge``; every other node is one call of ``dfs(covered, placed)``.
-    The placed entries live in ``det``; each block's top and bottom entry,
-    its entry masks ``fwd`` and ``rev`` and its ``room`` for more entries
-    are built once from ``state``, then ``place`` pushes an entry onto all
-    of them before a recursive call and ``unplace`` pops it and restores
-    the saved values after it.  ``crosses[b]`` tests a new entry of block
-    b: an adjacent block by one shift of its mask, other blocks entry by
-    entry.  The constants of the type come from ``_type_tables``.
-
-    There are two node functions, chosen by the number of blocks.  A
-    three-block type (a two-step flag) gets one written out for R = 3: it
-    reads the six block extremes once, works out each open block's (B)
-    targets and (D) window without a loop over blocks, and its three
-    crossing tests name their blocks and distances.  Every other type gets
-    the general one, which loops over the blocks.  Both visit the same
-    children in the same order, and share everything else: the state,
-    ``place``/``unplace``, ``descend``, ``leaf``, ``tick``, the gauge move
-    and the (D) pair loop ``pair_moves``.
+    search reaches them, so a worker process can resume them.  The placed
+    entries live in ``det``; each block's top and bottom entry, its entry
+    masks ``fwd`` and ``rev`` and its ``room`` for more entries are built
+    once from ``state``, then ``place`` pushes an entry onto all of them
+    before a recursive call and ``unplace`` pops it and restores the saved
+    values after it.  The node ``dfs(covered, placed)``, the crossing
+    tests and the gauge move at the root come from ``_node(R)``, and the
+    constants of the type from ``_type_tables``.
 
     Returns (found, frontier, nodes, completed): the canonical blocks of
     each class found, the snapshots, the node count, and whether the walk
@@ -358,7 +524,7 @@ def _walk(lengths, state, depth, deadline):
     then every 1024 nodes, and nowhere else.
     """
     R = len(lengths)
-    N, shifts, pairs, later, earlier, far = _type_tables(lengths)
+    N, shifts, far = _type_tables(lengths)
     total = sum(lengths)
     stop = total if depth is None else min(depth, total)
     det, covered, placed = state or ([()] * R, 0, 0)
@@ -369,36 +535,33 @@ def _walk(lengths, state, depth, deadline):
     room = [lengths[b] - len(det[b]) for b in range(R)]
     # Every placed entry v obeys |v| <= (R-1)(N+1): it meets an entry e
     # of the gauge pair in another block at a time t in [1, N], so
-    # |v - e| = t*|m - b| <= N(R-1), and a gauge entry is in [0, R-1].  A
-    # candidate x reaches a mask only as a (B) target, which meets a
-    # placed entry at t0, or after an adjacent block's range check, which
-    # puts a crossing time in [t0, N]; either way |x - v| <= N(R-1) for a
-    # placed v.  So OFF = (R-1)(N+1) + N(R-1) keeps every bit index and
-    # shift count >= 0; Python's ValueError on a negative shift would
-    # expose a bound that is too small.
+    # |v - e| = t*|m - b| <= N(R-1), and a gauge entry is in [0, R-1].
+    # So OFF = (R-1)(N+1) + N(R-1) bounds every placed position at t0 and
+    # every (B) target, and every (D) window candidate x too: bounded by
+    # a later block m, x <= bot[m] + N(m-b), and the other cases are
+    # symmetric.  Every bit index and shift count is thus >= 0, even
+    # against an empty block; Python's ValueError on a negative shift
+    # would expose a bound that is too small.
     OFF = (R - 1) * (2 * N + 1)
     # Per block: top and bottom entry, and the entries as bit v + OFF of
     # fwd and bit OFF - v of rev.  An empty block has top -FAR and bottom
-    # FAR.  A real position, bound or candidate lies within OFF + N(R-1)
-    # of 0, and a sentinel moved to t0 stays beyond 2*OFF - N(R-1), which
-    # is more; so an empty block never wins a max or a min, passes every
-    # range check, and adds no crossing time with its mask 0.  place()
-    # pushes an entry and returns what unplace() restores when it is
-    # popped.
+    # FAR, which moved to t0 stay beyond 2*OFF - N(R-1), further out than
+    # any real position, bound or candidate (within OFF + N(R-1) of 0):
+    # it never wins a max or a min, passes every range check and adds no
+    # crossing time with its mask 0, and a side of only empty blocks has
+    # a target high < -OFF or low > OFF.  place() pushes an entry and
+    # returns what unplace() restores when it is popped.
     FAR = 2 * OFF
     top = [max(blk, default=-FAR) for blk in det]
     bot = [min(blk, default=FAR) for blk in det]
     fwd = [sum(1 << (v + OFF) for v in blk) for blk in det]
     rev = [sum(1 << (OFF - v) for v in blk) for blk in det]
-    nodes = 0
-    # The node count at which the clock is read next.
-    due = _NEVER if deadline is None else 1
 
-    def tick():
-        nonlocal due
+    def tick(nodes):
+        """The node count of the next clock read, or BudgetExhausted."""
         if time.monotonic() > deadline:
             raise BudgetExhausted
-        due = (nodes // 1024 + 1) * 1024
+        return (nodes // 1024 + 1) * 1024
 
     def leaf(covered, placed):
         if placed < total:
@@ -516,274 +679,12 @@ def _walk(lengths, state, depth, deadline):
                 unplace(j, saved_j)
                 unplace(i, saved_i)
 
-    def gauge():
-        """The root, with nothing placed: the pair realizing time 1 sits
-        at 0, which fixes the translation gauge."""
-        nonlocal nodes
-        nodes += 1
-        if nodes >= due:
-            tick()
-        for i, j in pairs:
-            saved_i = place(i, shifts[1][i])
-            saved_j = place(j, shifts[1][j])
-            dfs(1, 2)
-            unplace(j, saved_j)
-            unplace(i, saved_i)
-
-    # (B) one new entry in block b meets a placed one: at the top of the
-    # later blocks or at the bottom of the earlier ones.  (D) two new
-    # entries in blocks i < j meet each other at a position p.  Every
-    # placed entry at position q in block m bounds where a new entry of
-    # block s != m may sit at t0, since the two must cross at a time in
-    # [t0, N]: p in [q+1, q+span*(m-s)] when m > s and p in
-    # [q-span*(s-m), q-1] when m < s.  The block's top and bottom at t0,
-    # top[m] - shift[m] and bot[m] - shift[m], give the tightest of these
-    # bounds.
-    if R == 3:
-        # Block m descends at speed 2 - m: shifts[t0] = (2*t0, t0, 0), and
-        # a new entry x of block b meets v of block m at (x - v)/(m - b).
-        det0, _, det2 = det
-
-        def cross_0(x, t0, acc):
-            """The crossing test of block 0: block 1 by a shift, block 2
-            entry by entry."""
-            if top[1] > x - t0 or bot[1] < x - N:
-                return -1
-            times = rev[1] >> (OFF + 1 - x)
-            if acc & times:
-                return -1
-            acc |= times
-            for v in det2:
-                d = x - v
-                if d & 1:
-                    return -1
-                t = d >> 1
-                if t < t0 or t > N:
-                    return -1
-                bit = 1 << (t - 1)
-                if acc & bit:
-                    return -1
-                acc |= bit
-            return acc
-
-        def cross_1(x, t0, acc):
-            """The crossing test of block 1: blocks 0 and 2 by a shift
-            each."""
-            if bot[0] < x + t0 or top[0] > x + N:
-                return -1
-            if top[2] > x - t0 or bot[2] < x - N:
-                return -1
-            times = fwd[0] >> (x + OFF + 1)
-            if acc & times:
-                return -1
-            times2 = rev[2] >> (OFF + 1 - x)
-            if (acc | times) & times2:
-                return -1
-            return acc | times | times2
-
-        def cross_2(x, t0, acc):
-            """The crossing test of block 2: block 1 by a shift, block 0
-            entry by entry."""
-            if bot[1] < x + t0 or top[1] > x + N:
-                return -1
-            times = fwd[1] >> (x + OFF + 1)
-            if acc & times:
-                return -1
-            acc |= times
-            for v in det0:
-                d = v - x
-                if d & 1:
-                    return -1
-                t = d >> 1
-                if t < t0 or t > N:
-                    return -1
-                bit = 1 << (t - 1)
-                if acc & bit:
-                    return -1
-                acc |= bit
-            return acc
-
-        crosses = cross_0, cross_1, cross_2
-
-        def dfs(covered, placed):
-            nonlocal nodes
-            nodes += 1
-            if nodes >= due:
-                tick()
-            if placed >= stop:
-                leaf(covered, placed)
-                return
-            t0 = ((covered + 1) & ~covered).bit_length()
-            span = N - t0
-            t2 = t0 + t0
-            top0, top1, top2 = top
-            bot0, bot1, bot2 = bot
-            windows = []
-            if room[0]:
-                # Its one target is the top of blocks 1 and 2 at t0.
-                q = top1 - t0
-                if top2 > q:
-                    q = top2
-                hi = bot1 - t0 + span
-                if bot2 + span + span < hi:
-                    hi = bot2 + span + span
-                if q < hi:
-                    windows.append((0, q + 1, hi))
-                acc = cross_0(q + t2, t0, covered)
-                if acc >= 0:
-                    descend(0, q + t2, acc, placed)
-            if room[1]:
-                # The top of block 2 and the bottom of block 0 at t0; the
-                # set fixes the order the two targets are tried in.
-                high = top2
-                low = bot0 - t2
-                lo = top0 - t2 - span
-                if high >= lo:
-                    lo = high + 1
-                hi = bot2 + span
-                if low <= hi:
-                    hi = low - 1
-                if lo <= hi:
-                    windows.append((1, lo, hi))
-                if not det0:
-                    targets = (high,)
-                elif not det2:
-                    targets = (low,)
-                else:
-                    targets = {high, low}
-                for q in targets:
-                    acc = cross_1(q + t0, t0, covered)
-                    if acc >= 0:
-                        descend(1, q + t0, acc, placed)
-            if room[2]:
-                # Its one target is the bottom of blocks 0 and 1 at t0.
-                q = bot0 - t2
-                if bot1 - t0 < q:
-                    q = bot1 - t0
-                lo = top0 - t2 - span - span
-                if top1 - t0 - span > lo:
-                    lo = top1 - t0 - span
-                if lo < q:
-                    windows.append((2, lo, q - 1))
-                acc = cross_2(q, t0, covered)
-                if acc >= 0:
-                    descend(2, q, acc, placed)
-            if len(windows) > 1:
-                pair_moves(windows, t0, covered, placed)
-    else:
-        # others[b]: (m, m - b, entries) for every block m other than b.
-        others = [[(m, m - b, det[m]) for m in range(R) if m != b]
-                  for b in range(R)]
-
-        def crosser(b):
-            def cross(x, t0, acc):
-                """acc plus the crossing-time bits of entry x new in
-                block b.
-
-                Every crossing with a placed entry must be an integer
-                time in [t0, N] whose bit is clear in acc; otherwise
-                returns -1.  Against an adjacent block the crossing times
-                are x - v (m = b + 1) or v - x (m = b - 1); once the
-                block's top and bottom put them all in [t0, N], bit t-1
-                of each is one shift of rev or fwd.
-                """
-                for m, d, blk in others[b]:
-                    # An empty block would pass; skipping it is faster.
-                    if not blk:
-                        continue
-                    if d == 1:
-                        if top[m] > x - t0 or bot[m] < x - N:
-                            return -1
-                        times = rev[m] >> (OFF + 1 - x)
-                    elif d == -1:
-                        if bot[m] < x + t0 or top[m] > x + N:
-                            return -1
-                        times = fwd[m] >> (x + OFF + 1)
-                    else:
-                        for v in blk:
-                            t, rem = divmod(x - v, d)
-                            if rem or t < t0 or t > N:
-                                return -1
-                            bit = 1 << (t - 1)
-                            if acc & bit:
-                                return -1
-                            acc |= bit
-                        continue
-                    if acc & times:
-                        return -1
-                    acc |= times
-                return acc
-            return cross
-
-        crosses = [crosser(b) for b in range(R)]
-
-        def dfs(covered, placed):
-            nonlocal nodes
-            nodes += 1
-            if nodes >= due:
-                tick()
-            if placed >= stop:
-                leaf(covered, placed)
-                return
-            t0 = ((covered + 1) & ~covered).bit_length()
-            span = N - t0
-            shift = shifts[t0]
-            windows = []
-            for b in range(R):
-                if not room[b]:
-                    continue
-                high = low = lo = hi = None
-                for m in later[b]:
-                    if det[m]:
-                        q = top[m] - shift[m]
-                        if high is None or q > high:
-                            high = q
-                        q = bot[m] - shift[m] + span * (m - b)
-                        if hi is None or q < hi:
-                            hi = q
-                for m in earlier[b]:
-                    if det[m]:
-                        q = bot[m] - shift[m]
-                        if low is None or q < low:
-                            low = q
-                        q = top[m] - shift[m] - span * (b - m)
-                        if lo is None or q > lo:
-                            lo = q
-                if high is None:
-                    targets = (low,)
-                    hi = low - 1
-                elif low is None:
-                    targets = (high,)
-                    lo = high + 1
-                else:
-                    # The set fixes the order the two targets are tried in.
-                    targets = {high, low}
-                    if high >= lo:
-                        lo = high + 1
-                    if low <= hi:
-                        hi = low - 1
-                if lo <= hi:
-                    windows.append((b, lo, hi))
-                cross = crosses[b]
-                for q in targets:
-                    # x is not yet in block b: it meets a placed entry of
-                    # another block at t0, so were it placed, t0 would be
-                    # covered.
-                    x = q + shift[b]
-                    acc = cross(x, t0, covered)
-                    if acc >= 0:
-                        descend(b, x, acc, placed)
-            if len(windows) > 1:
-                pair_moves(windows, t0, covered, placed)
-
-    try:
-        if placed:
-            dfs(covered, placed)
-        else:
-            gauge()
-    except BudgetExhausted:
-        return found, [], nodes, False
-    return found, frontier, nodes, True
+    dfs, crosses, run = _node(R)(
+        N, OFF, top, bot, fwd, rev, room, det, stop,
+        _NEVER if deadline is None else 1, tick, leaf, place, unplace,
+        descend, pair_moves)
+    nodes, completed = run(covered, placed)
+    return found, frontier if completed else [], nodes, completed
 
 
 def _serve(fn, conn, parent_ends):

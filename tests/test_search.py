@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import linecache
 import math
 import multiprocessing
 import os
@@ -241,6 +242,19 @@ class TestSearchTree:
     ])
     def test_visit_order_pinned(self, types, digest):
         assert self.walk_digest(types) == digest
+
+    @pytest.mark.parametrize("blocks", [2, 3, 7])
+    def test_node_compiled_once_per_block_count(self, blocks):
+        assert search._node(blocks) is search._node(blocks)
+
+    @pytest.mark.parametrize("blocks", [2, 3, 7])
+    def test_node_source_reads_back(self, blocks):
+        # Tracebacks and profiles find the generated lines by file name.
+        code = search._node(blocks).__code__
+        cross_0 = next(c for c in code.co_consts
+                       if getattr(c, "co_name", None) == "cross_0")
+        line = linecache.getline(cross_0.co_filename, cross_0.co_firstlineno)
+        assert line.strip() == "def cross_0(x, t0, acc):"
 
 
 PALINDROMES = [ft.lengths for blocks in range(2, 7)
