@@ -53,12 +53,10 @@ Two independent engines:
   all in [t0, N], the whole set of time bits is one right shift of a
   mask, and a clash is one AND with the covered times.
 
-  The node function is generated for the number of blocks R (``_node``)
-  and compiled once per R: each block's targets, window and crossing
-  test are straight-line code, with the blocks and their distances as
-  literals and no loop over blocks.  The tests pin the node count of
-  several types and digests of the visiting order of every type with
-  2 to 10 blocks and total at most 10, which guard the one generator.
+  The node function is generated and compiled once per number of blocks
+  R (``_node``): straight-line code with the blocks and their distances
+  as literals.  Digests of the visiting order of every type with 2 to 10
+  blocks and total at most 10 guard the one generator.
 
 Both engines report equivalence classes; symmetric partners are separate
 classes unless equal as partitions.
@@ -371,8 +369,7 @@ def _node(R):
     ``node(...)`` binds one walk's state and returns (dfs, crosses, run):
     the node ``dfs(covered, placed)``, each block's crossing test, and
     ``run(covered, placed)``, which walks from a state (from the gauge
-    move when nothing is placed) and returns (nodes, completed).  The node
-    counter and the next clock read are its locals.
+    move when nothing is placed) and returns (nodes, completed).
 
     The code has no loop over blocks.  Block m lies k*t0 lower at t0, with
     k = R-1-m; each k*t0 and d*span is computed once per node.  Block b's
@@ -383,81 +380,83 @@ def _node(R):
     the two must cross at a time in [t0, N]; ``hi`` and ``lo`` are the
     tightest of these bounds, and b's (D) window lies above ``high`` and
     ``lo`` and below ``low`` and ``hi``.  A middle block tries ``low``
-    alone when ``high < -OFF`` (its later blocks are all empty; see
-    ``_walk``), ``high`` alone when ``low > OFF``, and otherwise the set
-    {high, low}, which fixes the order the two are tried in.
-    ``cross_b(x, t0, acc)`` tests the blocks in order, with their
-    distances as literals: an adjacent block by one shift of its mask, a
-    block two away by parity and a shift, and any other by ``divmod``.
+    alone when its later blocks are all empty, ``high`` alone when its
+    earlier ones are, and otherwise the set {high, low}, which fixes the
+    order the two are tried in.
+    ``cross_b(x, t0, acc)`` tests the adjacent blocks first, each by a
+    range check and then one shift of its mask, and then the blocks
+    further away in order, with their distances as literals: two away by
+    parity and a shift, and any other by ``divmod``.
     The source is registered with ``linecache``, so that ``traceback``
     and ``pdb`` show its lines.
     """
     import linecache
-
-    # The names of k*t0 and d*span in the node, for k, d >= 1.
-    kt0 = [None, "t0"] + [f"t{k}" for k in range(2, R)]
     dspan = [None, "span"] + [f"s{d}" for d in range(2, R)]
 
-    def moved(name, k, sign):
-        return f"{name} {sign} {kt0[k]}" if k else name
-
-    def at_t0(extreme, m):
-        return moved(f"{extreme}{m}", R - 1 - m, "-")
+    def at(name, m, sign="-"):
+        # A position of block m moved to t0, or back from t0 with sign +.
+        k = R - 1 - m
+        return name + (f" {sign} t{k}" if k > 1 else f" {sign} t0" * k)
 
     def running(name, better, terms):
         # name = the best of terms, where a beats b when a `better` b.
         lines = [f"    {name} = {terms[0]}"]
         for term in terms[1:]:
-            lines += [f"    q = {term}", f"    if q {better} {name}:",
-                      f"        {name} = q"]
+            q = term if term.isidentifier() else "q"
+            lines += [f"    q = {term}"] * (q == "q") + [
+                f"    if {q} {better} {name}:", f"        {name} = {q}"]
         return lines
+
+    def any_entry(blocks):
+        return "(" + " or ".join(f"det{m}" for m in blocks) + ")"
 
     def cross(b):
         lines = ["", f"def cross_{b}(x, t0, acc):"]
+        shifts = []
+        if b > 0:
+            lines += [f"    if bot[{b - 1}] < x + t0 or top[{b - 1}] > x + N:",
+                      "        return -1"]
+            shifts.append(f"fwd[{b - 1}] >> (x + OFF + 1)")
+        if b < R - 1:
+            lines += [f"    if top[{b + 1}] > x - t0 or bot[{b + 1}] < x - N:",
+                      "        return -1"]
+            shifts.append(f"rev[{b + 1}] >> (OFF + 1 - x)")
+        clash = ["if acc & times:", "    return -1", "acc |= times"]
+        for shift in shifts:
+            lines += ["    " + line for line in [f"times = {shift}"] + clash]
         for m in range(R):
             d = m - b
-            if d == 1:
-                lines += [f"    if top[{m}] > x - t0 or bot[{m}] < x - N:",
-                          "        return -1",
-                          f"    times = rev[{m}] >> (OFF + 1 - x)"]
-            elif d == -1:
-                lines += [f"    if bot[{m}] < x + t0 or top[{m}] > x + N:",
-                          "        return -1",
-                          f"    times = fwd[{m}] >> (x + OFF + 1)"]
-            elif d:
-                if abs(d) == 2:
-                    test = [f"d = {'x - v' if d > 0 else 'v - x'}",
-                            "if d & 1:", "    return -1", "t = d >> 1",
-                            "if t < t0 or t > N:"]
-                else:
-                    test = [f"t, r = divmod(x - v, {d})",
-                            "if r or t < t0 or t > N:"]
-                lines.append(f"    for v in det{m}:")
-                lines += ["        " + line for line in test + [
-                    "    return -1", "times = 1 << (t - 1)"]]
-            if d:
-                pad = "    " * min(abs(d), 2)
-                lines += [pad + "if acc & times:", pad + "    return -1",
-                          pad + "acc |= times"]
+            if abs(d) == 2:
+                test = [f"d = {'x - v' if d > 0 else 'v - x'}", "if d & 1:",
+                        "    return -1", "t = d >> 1", "if t < t0 or t > N:"]
+            elif abs(d) > 2:
+                test = [f"t, r = divmod(x - v, {d})",
+                        "if r or t < t0 or t > N:"]
+            else:
+                continue
+            lines.append(f"    for v in det{m}:")
+            lines += ["        " + line for line in test + [
+                "    return -1", "times = 1 << (t - 1)"] + clash]
         return lines + ["    return acc"]
 
     def moves(b):
         later, earlier = range(b + 1, R), range(b)
         lines = [f"if room[{b}]:"]
         if later:
-            lines += running("high", ">", [at_t0("top", m) for m in later])
-            lines += running("hi", "<", [f"{at_t0('bot', m)} + {dspan[m - b]}"
+            lines += running("high", ">", [at(f"top{m}", m) for m in later])
+            lines += running("hi", "<", [f"{at(f'bot{m}', m)} + {dspan[m - b]}"
                                          for m in later])
         if earlier:
-            lines += running("low", "<", [at_t0("bot", m) for m in earlier])
-            lines += running("lo", ">", [f"{at_t0('top', m)} - {dspan[b - m]}"
+            lines += running("low", "<", [at(f"bot{m}", m) for m in earlier])
+            lines += running("lo", ">", [f"{at(f'top{m}', m)} - {dspan[b - m]}"
                                          for m in earlier])
 
         def attempt(q):
             # q at t0 is x at time 0, tried as a new entry of block b.
-            return [f"x = {moved(q, R - 1 - b, '+')}",
-                    f"acc = cross_{b}(x, t0, covered)", "if acc >= 0:",
-                    f"    descend({b}, x, acc, placed)"]
+            x = "x" if b < R - 1 else q
+            return [f"x = {at(q, b, '+')}"] * (x == "x") + [
+                f"acc = cross_{b}({x}, t0, covered)", "if acc >= 0:",
+                f"    descend({b}, {x}, acc, placed)"]
 
         if not (earlier and later):
             # An end block: one target, and a window bounded by it.
@@ -471,8 +470,10 @@ def _node(R):
                       "    if low <= hi:", "        hi = low - 1",
                       "    if lo <= hi:",
                       f"        windows.append(({b}, lo, hi))",
-                      "    if high < -OFF:", "        targets = (low,)",
-                      "    elif low > OFF:", "        targets = (high,)",
+                      f"    if not {any_entry(later)}:",
+                      "        targets = (low,)",
+                      f"    elif not {any_entry(earlier)}:",
+                      "        targets = (high,)",
                       "    else:", "        targets = {high, low}",
                       "    for q in targets:"]
             attempts = ["    " + line for line in attempt("q")]
@@ -481,7 +482,7 @@ def _node(R):
     def indent(lines, pad):
         return "".join(pad + line + "\n" if line else "\n" for line in lines)
 
-    multiples = [f"{kt0[k]} = t0 * {k}" for k in range(2, R)]
+    multiples = [f"t{k} = t0 * {k}" for k in range(2, R)]
     multiples += [f"{dspan[d]} = span * {d}" for d in range(2, R)]
     source = _NODE_TEMPLATE.format(
         dets=", ".join(f"det{m}" for m in range(R)),
@@ -548,9 +549,8 @@ def _walk(lengths, state, depth, deadline):
     # FAR, which moved to t0 stay beyond 2*OFF - N(R-1), further out than
     # any real position, bound or candidate (within OFF + N(R-1) of 0):
     # it never wins a max or a min, passes every range check and adds no
-    # crossing time with its mask 0, and a side of only empty blocks has
-    # a target high < -OFF or low > OFF.  place() pushes an entry and
-    # returns what unplace() restores when it is popped.
+    # crossing time with its mask 0.  place() pushes an entry and returns
+    # what unplace() restores when it is popped.
     FAR = 2 * OFF
     top = [max(blk, default=-FAR) for blk in det]
     bot = [min(blk, default=FAR) for blk in det]
@@ -558,7 +558,7 @@ def _walk(lengths, state, depth, deadline):
     rev = [sum(1 << (OFF - v) for v in blk) for blk in det]
 
     def tick(nodes):
-        """The node count of the next clock read, or BudgetExhausted."""
+        # The node count of the next clock read.
         if time.monotonic() > deadline:
             raise BudgetExhausted
         return (nodes // 1024 + 1) * 1024
