@@ -399,7 +399,7 @@ def _node(R):
         return name + (f" {sign} t{k}" if k > 1 else f" {sign} t0" * k)
 
     def running(name, better, terms):
-        # name = the best of terms, where a beats b when a `better` b.
+        # name = the best of terms by `better`; a plain name needs no q.
         lines = [f"    {name} = {terms[0]}"]
         for term in terms[1:]:
             q = term if term.isidentifier() else "q"
