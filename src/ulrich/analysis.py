@@ -3,7 +3,7 @@
 Three-block partitions (A|B|C) admit a greedy reconstruction: an Ulrich
 partition is grown from its middle block by repeatedly adding the entry that
 realizes the smallest still-uncovered meeting time, and the added value is
-forced (Extension rules below).  This module implements the growth step, the
+forced (``_step`` below).  This module implements the growth step, the
 greedy word of an Ulrich partition, the sumset reformulation for singleton
 middle blocks, and two boundary rules (trapezoid, rectangle) that relate a
 partition to its dual.
@@ -13,9 +13,7 @@ covered-time mask it returns the first uncovered time t0, the forced new
 entry, and the mask with the entry's meeting times added (-1 on a clash).
 ``greedy_word`` and ``replay`` grow sorted lists through it and build value
 objects only at the ends: the input triple, the word, the replayed triple.
-``_grow`` wraps one kernel step as an ``Extension``, with the candidate
-``PreUlrichTriple`` and its clashes as ``Fraction``; ``replay`` builds one
-only to word its error.
+``replay`` words its error from the step's clashes, as ``Fraction``.
 
 All formulas are phrased directly on entry values, which makes them
 independent of the velocity normalization used for display.
@@ -66,11 +64,6 @@ def triple_of(P: BlockedPartition) -> PreUlrichTriple:
                          "block")
     a, b, c = P.blocks
     return PreUlrichTriple(a, b, c)
-
-
-def _parity_ok(T: PreUlrichTriple) -> bool:
-    outer = T.a + T.c
-    return all((x - outer[0]) % 2 == 0 for x in outer)
 
 
 def _first_gap(mask: int) -> int:
@@ -125,51 +118,6 @@ def _step(a, b, c, mask: int, letter: str, clashes=None):
     return t0, value, mask if clean else -1
 
 
-class Extension(Frozen):
-    """Result of one greedy growth step.
-
-    The candidate triple is always constructed; `pre_ulrich` records whether
-    it is still consistent, and `clashes` lists any meeting times the new
-    entry double-books (empty when the step is clean), as
-    ``fractions.Fraction``.
-    """
-
-    __slots__ = ("triple", "time", "value", "pre_ulrich", "clashes")
-    _fields = __slots__
-
-    def __init__(self, triple: PreUlrichTriple, time: int, value: int,
-                 pre_ulrich: bool, clashes: tuple[Fraction, ...]):
-        setattr_ = object.__setattr__
-        setattr_(self, "triple", triple)
-        setattr_(self, "time", time)
-        setattr_(self, "value", value)
-        setattr_(self, "pre_ulrich", pre_ulrich)
-        setattr_(self, "clashes", clashes)
-
-
-def _grow(T: PreUlrichTriple, mask: int, letter: str):
-    """``_step`` on T as value objects: (Extension, the candidate's mask).
-
-    ``mask`` >= 0 is T's covered-time mask.  The mask returned is -1 when
-    a new time clashes.
-    """
-    pairs = []
-    time, value, mask = _step(T.a, T.b, T.c, mask, letter, pairs)
-    if letter == "a":
-        candidate = PreUlrichTriple(
-            sorted(T.a + (value,), reverse=True), T.b, T.c)
-    else:
-        candidate = PreUlrichTriple(
-            T.a, T.b, sorted(T.c + (value,), reverse=True))
-    clashes = ()
-    if pairs:
-        from fractions import Fraction
-        clashes = tuple(sorted({Fraction(diff, d) for diff, d in pairs}))
-    step = Extension(candidate, time, value,
-                     not clashes and _parity_ok(candidate), clashes)
-    return step, mask
-
-
 class GreedyWord(Frozen):
     """The a/c growth sequence that reconstructs an Ulrich triple from B."""
 
@@ -188,7 +136,7 @@ def greedy_word(P: BlockedPartition) -> GreedyWord:
 
     The word is translation-invariant.  At each step the full partition's
     collision at the current uncovered time tells which side grows; the value
-    produced by the corresponding Extension rule must match the partition's
+    produced by the corresponding growth step must match the partition's
     actual entry, which is checked.  A sub-triple of the Ulrich input keeps
     its outer parity, so a matching value leaves only clashes to check.
     """
@@ -239,15 +187,18 @@ def replay(word: str, middle) -> PreUlrichTriple:
     a, c = [], []
     mask = 0  # the middle block alone has no meeting times
     for pos, letter in enumerate(word):
-        _, value, grown_mask = _step(a, b, c, mask, letter)
+        t0, value, grown_mask = _step(a, b, c, mask, letter)
         # Every outer entry so far shares one parity.
         outer = a or c
         if grown_mask < 0 or outer and (value - outer[0]) % 2:
-            step, _ = _grow(PreUlrichTriple(a, b, c), mask, letter)
-            why = (f"double-books times {step.clashes}" if step.clashes
-                   else "breaks the outer parity invariant")
-            raise ValueError(
-                f"step {pos} ({letter!r} at t={step.time}) {why}")
+            why = "breaks the outer parity invariant"
+            if grown_mask < 0:
+                from fractions import Fraction
+                pairs = []
+                _step(a, b, c, mask, letter, pairs)
+                clashes = tuple(sorted({Fraction(d, q) for d, q in pairs}))
+                why = f"double-books times {clashes}"
+            raise ValueError(f"step {pos} ({letter!r} at t={t0}) {why}")
         mask = grown_mask
         grown = a if letter == "a" else c
         grown.append(value)

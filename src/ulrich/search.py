@@ -35,10 +35,11 @@ Two independent engines:
 
   Every branch is validated by computing the new entry's crossing times with
   all placed entries: each must be an integer in [t0, N] whose slot is still
-  free.  The very first move (time 1, nothing placed) pins the meeting
-  position to 0, which fixes the translation gauge, so each equivalence
-  class is discovered exactly once.  Partitions are reported in canonical
-  form (smallest entry 0).
+  free.  The root (time 1, nothing placed) is the pair move with every
+  block's window pinned to [0, 0]: the meeting position 0 fixes the
+  translation gauge, so each equivalence class is discovered exactly once.
+  Classes are found as canonical flat entries: each block in decreasing
+  order, the blocks concatenated, the smallest entry (the last) at 0.
 
   Each node is one call of a recursive closure whose arguments are the
   covered-time bitmask and the number of placed entries.  The rest of
@@ -81,7 +82,7 @@ the two search trees are isomorphic: meeting times are unchanged when
 positions are negated and velocities reversed, and the gauge pairs, the
 (B) targets and the (D) windows map onto each other.  So a sweep searches
 one orientation of each mirror pair it is asked for and derives the other
-(``_mirror_report``): the classes mirrored by ``_mirror_blocks``, the
+(``_mirror_report``): the classes mirrored by ``_mirror_entries``, the
 source's node count and ``completed`` flag, no elapsed time, and
 ``mirror_of`` naming the source.
 Types whose reverse is not requested are searched.  A palindromic type is
@@ -298,27 +299,10 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return (r1 + m1 * k) % m, m
 
 
-@functools.lru_cache(maxsize=64)
-def _type_tables(lengths):
-    """The constants of ``_walk`` for one type, shared by all its walks.
-
-    Entries of block m descend at speed vm[m] = R-1-m: an entry v sits at
-    position v - shifts[t][m] at time t, with shifts[t][m] = t*vm[m].
-    far[b] lists the pairs (m, |m - b|) with |m - b| >= 2.
-    """
-    R = len(lengths)
-    N = FlagType(lengths).dimension
-    vm = tuple(-core.velocity(m, R - 1) for m in range(R))
-    shifts = tuple(tuple(t * v for v in vm) for t in range(N + 1))
-    far = tuple(tuple((m, abs(m - b)) for m in range(R) if abs(m - b) >= 2)
-                for b in range(R))
-    return N, shifts, far
-
-
 # The source of ``_node``, less each block's crossing test and moves.
 _NODE_TEMPLATE = '''\
 def node(N, OFF, top, bot, fwd, rev, room, det, stop, due, tick, leaf,
-         place, unplace, descend, pair_moves):
+         descend, pair_moves):
     {dets} = det
     nodes = 0
 {crosses}
@@ -344,16 +328,12 @@ def node(N, OFF, top, bot, fwd, rev, room, det, stop, due, tick, leaf,
             if placed:
                 dfs(covered, placed)
             else:
-                # The root: the pair meeting at time 1 sits at 0 (gauge).
+                # The root: the pair meeting at time 1 sits at 0 (gauge),
+                # so every window is [0, 0].
                 nodes += 1
                 if nodes >= due:
                     due = tick(nodes)
-                for i, j in {pairs}:
-                    saved_i = place(i, {last} - i)
-                    saved_j = place(j, {last} - j)
-                    dfs(1, 2)
-                    unplace(j, saved_j)
-                    unplace(i, saved_i)
+                pair_moves({gauge}, 1, 0, 0)
         except BudgetExhausted:
             return nodes, False
         return nodes, True
@@ -368,8 +348,9 @@ def _node(R):
 
     ``node(...)`` binds one walk's state and returns (dfs, crosses, run):
     the node ``dfs(covered, placed)``, each block's crossing test, and
-    ``run(covered, placed)``, which walks from a state (from the gauge
-    move when nothing is placed) and returns (nodes, completed).
+    ``run(covered, placed)``, which walks from a state and returns (nodes,
+    completed).  When nothing is placed, ``run`` counts the root and makes
+    the pair moves at time 1 with every block's window pinned to [0, 0].
 
     The code has no loop over blocks.  Block m lies k*t0 lower at t0, with
     k = R-1-m; each k*t0 and d*span is computed once per node.  Block b's
@@ -379,10 +360,11 @@ def _node(R):
     q+span*(m-b)] when m > b and to [q-span*(b-m), q-1] when m < b, since
     the two must cross at a time in [t0, N]; ``hi`` and ``lo`` are the
     tightest of these bounds, and b's (D) window lies above ``high`` and
-    ``lo`` and below ``low`` and ``hi``.  A middle block tries ``low``
-    alone when its later blocks are all empty, ``high`` alone when its
-    earlier ones are, and otherwise the set {high, low}, which fixes the
-    order the two are tried in.
+    ``lo`` and below ``low`` and ``hi``; it is appended as (b, lo, hi,
+    k*t0), since a position p at t0 is the entry p + k*t0.  A middle block
+    tries ``low`` alone when its later blocks are all empty, ``high`` alone
+    when its earlier ones are, and otherwise the set {high, low}, which
+    fixes the order the two are tried in.
     ``cross_b(x, t0, acc)`` tests the adjacent blocks first, each by a
     range check and then one shift of its mask, and then the blocks
     further away in order, with their distances as literals: two away by
@@ -393,10 +375,14 @@ def _node(R):
     import linecache
     dspan = [None, "span"] + [f"s{d}" for d in range(2, R)]
 
+    def shift(m):
+        # How far block m has moved down by t0.
+        k = R - 1 - m
+        return f"t{k}" if k > 1 else ("0", "t0")[k]
+
     def at(name, m, sign="-"):
         # A position of block m moved to t0, or back from t0 with sign +.
-        k = R - 1 - m
-        return name + (f" {sign} t{k}" if k > 1 else f" {sign} t0" * k)
+        return name if m == R - 1 else f"{name} {sign} {shift(m)}"
 
     def running(name, better, terms):
         # name = the best of terms by `better`; a plain name needs no q.
@@ -463,13 +449,13 @@ def _node(R):
             test, window = (("high < hi", "high + 1, hi") if later
                             else ("lo < low", "lo, low - 1"))
             lines += [f"    if {test}:",
-                      f"        windows.append(({b}, {window}))"]
+                      f"        windows.append(({b}, {window}, {shift(b)}))"]
             attempts = attempt("high" if later else "low")
         else:
             lines += ["    if high >= lo:", "        lo = high + 1",
                       "    if low <= hi:", "        hi = low - 1",
                       "    if lo <= hi:",
-                      f"        windows.append(({b}, lo, hi))",
+                      f"        windows.append(({b}, lo, hi, {shift(b)}))",
                       f"    if not {any_entry(later)}:",
                       "        targets = (low,)",
                       f"    elif not {any_entry(earlier)}:",
@@ -491,7 +477,8 @@ def _node(R):
         tops=", ".join(f"top{m}" for m in range(R)),
         bots=", ".join(f"bot{m}" for m in range(R)),
         moves=indent(sum(map(moves, range(R)), []), "        "),
-        pairs=tuple(itertools.combinations(range(R), 2)), last=R - 1,
+        # At t0 = 1 the shift k*t0 of block m is its speed k = R-1-m.
+        gauge=tuple((m, 0, 0, R - 1 - m) for m in range(R)),
         names=", ".join(f"cross_{b}" for b in range(R)))
     filename = f"<ulrich.search._node({R})>"
     linecache.cache[filename] = (len(source), None,
@@ -515,17 +502,20 @@ def _walk(lengths, state, depth, deadline):
     once from ``state``, then ``place`` pushes an entry onto all of them
     before a recursive call and ``unplace`` pops it and restores the saved
     values after it.  The node ``dfs(covered, placed)``, the crossing
-    tests and the gauge move at the root come from ``_node(R)``, and the
-    constants of the type from ``_type_tables``.
+    tests and ``run``, which makes the root's pair moves, come from
+    ``_node(R)``.
 
-    Returns (found, frontier, nodes, completed): the canonical blocks of
-    each class found, the snapshots, the node count, and whether the walk
+    Returns (found, frontier, nodes, completed): the canonical flat entries
+    of each class found, the snapshots, the node count, and whether the walk
     ran to the end.  Past ``deadline`` the walk stops with the classes
     found so far and no snapshots: the clock is read at the first node and
     then every 1024 nodes, and nowhere else.
     """
     R = len(lengths)
-    N, shifts, far = _type_tables(lengths)
+    N = FlagType(lengths).dimension
+    # far[b] lists the pairs (m, |m - b|) with |m - b| >= 2.
+    far = [[(m, abs(m - b)) for m in range(R) if abs(m - b) >= 2]
+           for b in range(R)]
     total = sum(lengths)
     stop = total if depth is None else min(depth, total)
     det, covered, placed = state or ([()] * R, 0, 0)
@@ -567,10 +557,9 @@ def _walk(lengths, state, depth, deadline):
         if placed < total:
             frontier.append(([blk[:] for blk in det], covered, placed))
             return
-        blocks = [sorted(block, reverse=True) for block in det]
-        low = blocks[-1][-1]
-        found.append(tuple(tuple(v - low for v in block)
-                           for block in blocks))
+        entries = [v for block in det for v in sorted(block, reverse=True)]
+        low = entries[-1]
+        found.append(tuple([v - low for v in entries]))
 
     def place(b, x):
         saved = top[b], bot[b], fwd[b], rev[b]
@@ -631,18 +620,18 @@ def _walk(lengths, state, depth, deadline):
     def pair_moves(windows, t0, covered, placed):
         """(D) two new entries in blocks i < j meet each other at t0.
 
-        ``windows`` holds (s, lo, hi) for each open block whose window of
-        positions at t0 is not empty; a pair's window is the overlap of
-        its blocks' windows.  The crossings of a new entry x of block s
+        ``windows`` holds (s, lo, hi, shift) for each open block whose
+        window of positions at t0 is not empty, where a position p is the
+        entry p + shift of block s; a pair's window is the overlap of its
+        blocks' windows.  The crossings of a new entry x of block s
         with a placed entry v of block m are integers only if
         x = v (mod |m-s|); residue(s) folds these into one congruence
         x = r (mod M), worked out once per node and only for blocks of a
         pair whose window is open.
         """
-        shift = shifts[t0]
         covered |= 1 << (t0 - 1)
         residues = {}
-        for (i, lo, hi), (j, lo_j, hi_j) in itertools.combinations(
+        for (i, lo, hi, si), (j, lo_j, hi_j, sj) in itertools.combinations(
                 windows, 2):
             if lo_j > lo:
                 lo = lo_j
@@ -657,7 +646,6 @@ def _walk(lengths, state, depth, deadline):
             ri, rj = residues[i], residues[j]
             if ri is None or rj is None:
                 continue
-            si, sj = shift[i], shift[j]
             # x = p + si and y = p + sj: one congruence for p.
             step = _crt(ri[0] - si, ri[1], rj[0] - sj, rj[1])
             if step is None:
@@ -681,8 +669,7 @@ def _walk(lengths, state, depth, deadline):
 
     dfs, crosses, run = _node(R)(
         N, OFF, top, bot, fwd, rev, room, det, stop,
-        _NEVER if deadline is None else 1, tick, leaf, place, unplace,
-        descend, pair_moves)
+        _NEVER if deadline is None else 1, tick, leaf, descend, pair_moves)
     nodes, completed = run(covered, placed)
     return found, frontier if completed else [], nodes, completed
 
@@ -771,17 +758,14 @@ def _pool_map(fn, jobs, workers: int):
             conn.close()
 
 
-def _mirror_blocks(blocks):
-    """The canonical blocks of ``core.symmetric`` of ``blocks``."""
-    high = blocks[0][0]
-    return tuple(tuple(high - v for v in reversed(block))
-                 for block in reversed(blocks))
+def _mirror_entries(entries):
+    """The canonical entries of ``core.symmetric`` of ``entries``."""
+    return tuple([entries[0] - v for v in reversed(entries)])
 
 
-def _classes(ft: FlagType, sorted_blocks) -> tuple[BlockedPartition, ...]:
-    """The partitions of type ``ft`` with the given canonical blocks."""
-    return tuple([BlockedPartition(ft, sum(blocks, ()))
-                  for blocks in sorted_blocks])
+def _classes(ft: FlagType, sorted_entries) -> tuple[BlockedPartition, ...]:
+    """The partitions of type ``ft`` with the given canonical entries."""
+    return tuple([BlockedPartition(ft, f) for f in sorted_entries])
 
 
 def _subtree_worker(job):
@@ -801,7 +785,7 @@ def time_branching_search(ft: FlagType, budget_seconds: float | None = None,
     type the subtrees under (i, j) and (R-1-j, R-1-i) are mirror images of
     one size, so only those with i + j <= R-1 are searched: a subtree with
     i + j < R-1 is counted twice and its classes are mirrored by
-    ``_mirror_blocks``, and one with i + j = R-1 is its own mirror.
+    ``_mirror_entries``, and one with i + j = R-1 is its own mirror.
     ``nodes`` is thus the size of the whole tree.
 
     With any number of workers the report is ``completed`` exactly when
@@ -836,12 +820,11 @@ def time_branching_search(ft: FlagType, budget_seconds: float | None = None,
             found.extend(sub_found)
             nodes += sub_nodes - 1
             if twin:
-                found.extend(map(_mirror_blocks, sub_found))
+                found.extend(map(_mirror_entries, sub_found))
                 nodes += sub_nodes - 1
             if not sub_done:
                 completed = False
                 break
-    # Within one type, block tuples sort as their flattened entries do.
     unique = sorted(set(found))
     if len(unique) != len(found):
         raise RuntimeError(f"a class of {ft.lengths} was generated twice")
@@ -898,10 +881,10 @@ def _mirror_report(source: SearchReport) -> SearchReport:
     ``core.symmetric`` maps the classes of a type one to one onto those of
     the reversed type, and the two search trees are isomorphic, so the
     node count and the ``completed`` flag carry over.  The classes are
-    mirrored by ``_mirror_blocks``.
+    mirrored by ``_mirror_entries``.
     """
     ft = source.type.reversed()
-    mirrored = sorted(_mirror_blocks(P.blocks) for P in source.classes)
+    mirrored = sorted(_mirror_entries(P.entries) for P in source.classes)
     return SearchReport(ft, _classes(ft, mirrored), source.nodes, 0.0,
                         source.completed, source.type.lengths)
 

@@ -22,9 +22,14 @@ def mask_of(T):
     return core.meeting_mask((T.a, T.b, T.c), top - bottom)
 
 
-def grow(T, letter):
-    """The growth step on T, whose meeting times are distinct integers."""
-    return analysis._grow(T, mask_of(T), letter)[0]
+def grow(T, letter, mask=None):
+    """The growth step on T: (t0, value, the grown mask, the clashes as
+    sorted Fractions).  T's meeting times are distinct integers."""
+    pairs = []
+    t0, value, grown_mask = analysis._step(
+        T.a, T.b, T.c, mask_of(T) if mask is None else mask, letter, pairs)
+    return t0, value, grown_mask, tuple(sorted({Fraction(d, q)
+                                                for d, q in pairs}))
 
 
 class TestTriples:
@@ -43,7 +48,7 @@ class TestTriples:
         T = PreUlrichTriple((4,), (3, 0), (-2,))
         assert analysis.replay("ac", (3, 0)) == T
         assert T.as_partition().dimension == 5
-        assert grow(T, "a").time == 6
+        assert grow(T, "a")[0] == 6
 
     def test_parity_breaks_pre_ulrich(self):
         # A and C entries of different parity meet at a half-integer time,
@@ -73,33 +78,33 @@ class TestTriples:
 class TestGrowthSteps:
     def test_add_a_first_step(self):
         T = PreUlrichTriple((), (5, 0), ())
-        step = grow(T, "a")
-        assert (step.time, step.value) == (1, 6)
-        assert step.pre_ulrich and step.clashes == ()
-        assert step.triple.a == (6,)
+        t0, value, mask, clashes = grow(T, "a")
+        assert (t0, value, clashes) == (1, 6, ())
+        assert mask == mask_of(PreUlrichTriple((6,), (5, 0), ()))
 
     def test_add_c_accounts_for_speed(self):
         # At time t0 the new c entry must sit t0 below b (speed 1) or 2*t0
         # below a (speed 2), whichever is lower.
         T = PreUlrichTriple((6,), (5, 0), ())
-        step = grow(T, "c")
-        assert step.time == 2
-        assert step.value == min(6 - 4, 5 - 2, 0 - 2) == -2
+        t0, value, _, _ = grow(T, "c")
+        assert t0 == 2
+        assert value == min(6 - 4, 5 - 2, 0 - 2) == -2
 
     def test_clash_detection(self):
         # After growing one a over B = (2, 0), the forced c entry would meet
         # the a entry at the half-integral time 5/2.
         T = analysis.replay("a", (2, 0))
-        step = grow(T, "c")
-        assert not step.pre_ulrich
-        assert Fraction(5, 2) in step.clashes
+        _, _, mask, clashes = grow(T, "c")
+        assert mask == -1
+        assert Fraction(5, 2) in clashes
 
     def test_parity_detection(self):
         # A second a entry lands at the wrong parity: no time clash, but the
         # triple stops being pre-Ulrich.
         T = analysis.replay("a", (0,))
-        step = grow(T, "a")
-        assert not step.pre_ulrich and step.clashes == ()
+        _, value, mask, clashes = grow(T, "a")
+        assert mask >= 0 and clashes == ()
+        assert (value - T.a[0]) % 2
 
     def test_replay_word_reconstructs_known(self):
         assert (analysis.replay("aca", (5, 0)).as_partition()
@@ -138,10 +143,10 @@ class TestGrowthSteps:
             except ValueError:
                 assert mask == -1
                 continue
-            got, grown_mask = analysis._grow(T, mask, letter)
-            assert (got.time, got.value, got.pre_ulrich, got.clashes,
-                    got.triple) == want
-            assert grown_mask == mask_of(got.triple)
+            time, value, _, clashes, grown = want
+            t0, got, grown_mask, got_clashes = grow(T, letter, mask)
+            assert (t0, got, got_clashes) == (time, value, clashes)
+            assert grown_mask == mask_of(grown)
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=4, unique=True),
            st.text(alphabet="ac", max_size=8))

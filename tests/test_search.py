@@ -7,6 +7,7 @@ classifications on mid-sized types where plain enumeration is hopeless.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ import pytest
 
 import ulrich
 from ulrich import core, families, search
-from ulrich.core import FlagType
+from ulrich.core import BlockedPartition, FlagType
 from ulrich.search import (baseline_oracle, report_from_dict, report_to_dict,
                            time_branching_search, verify_conjecture_sweep,
                            verify_no_multistep)
@@ -182,12 +183,15 @@ class TestSearchTree:
 
     @staticmethod
     def walk_digest(types):
-        """sha256 of each type's found list in order, node count, completed
-        flag, and depth-4 frontier as (block tuples, covered, placed)."""
+        """sha256 of each type's found list in order as block tuples, node
+        count, completed flag, and depth-4 frontier as (block tuples,
+        covered, placed)."""
         h = hashlib.sha256()
         for lengths in types:
             found, _, nodes, completed = search._walk(lengths, None, None,
                                                       None)
+            ft = FlagType(lengths)
+            found = [BlockedPartition(ft, f).blocks for f in found]
             frontier = search._walk(lengths, None, 4, None)[1]
             frontier = [(tuple(map(tuple, det)), covered, placed)
                         for det, covered, placed in frontier]
@@ -256,6 +260,21 @@ class TestSearchTree:
         line = linecache.getline(cross_0.co_filename, cross_0.co_firstlineno)
         assert line.strip() == "def cross_0(x, t0, acc):"
 
+    @pytest.mark.parametrize("blocks", range(2, 11))
+    def test_node_reads_every_parameter(self, blocks):
+        # A parameter the generated code no longer reads is dead weight
+        # that every walk still binds.
+        code = search._node(blocks).__code__
+        tree = ast.parse("".join(linecache.getlines(code.co_filename)))
+        node = tree.body[0]
+        assert node.name == "node"
+        read = {name.id for name in ast.walk(node)
+                if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)}
+        params = [arg.arg for arg in node.args.args]
+        assert params == list(code.co_varnames[:code.co_argcount])
+        assert [p for p in params if p not in read] == []
+
 
 PALINDROMES = [ft.lengths for blocks in range(2, 7)
                for total in range(blocks, 13)
@@ -270,8 +289,8 @@ def full_walks():
     out = {}
     for lengths in PALINDROMES:
         found, _, nodes, completed = search._walk(lengths, None, None, None)
-        classes = tuple(sorted(map(core.from_blocks, found),
-                               key=lambda P: P.entries))
+        ft = FlagType(lengths)
+        classes = tuple(BlockedPartition(ft, f) for f in sorted(found))
         out[lengths] = classes, nodes, completed
     return out
 
@@ -310,15 +329,17 @@ class TestPalindromeHalving:
         assert len(gauges) < R * (R - 1) // 2
 
     def test_mirror_blocks_match_symmetric(self):
-        # Every class of total <= 10: types with four or more blocks have
-        # none (the paper's theorem; `ulrich verify multistep 10` holds).
+        # The flat mirror on every class of total <= 10: types with four or
+        # more blocks have none (the paper's theorem; `ulrich verify
+        # multistep 10` holds).
         count = 0
         for blocks in (2, 3):
             for total in range(blocks, 11):
                 for ft in search._types_with_blocks(blocks, total):
                     for P in time_branching_search(ft).classes:
                         want = core.canonicalize(core.symmetric(P))
-                        assert search._mirror_blocks(P.blocks) == want.blocks
+                        assert (search._mirror_entries(P.entries)
+                                == want.entries)
                         count += 1
         assert count == 659
 

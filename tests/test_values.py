@@ -23,7 +23,6 @@ from ulrich.core import FlagType
 from helpers import fresh_stdout
 
 _P = core.parse_partition("5|3,-1,-2,-4|-5")
-_TRIPLE = analysis.PreUlrichTriple((5,), (3, -1), (-5,))
 
 # One sample per class: its constructor arguments by keyword, in order.
 SAMPLES = [
@@ -34,8 +33,6 @@ SAMPLES = [
                                nodes=7, elapsed=0.25, completed=True,
                                mirror_of=(1, 4, 1))),
     (analysis.PreUlrichTriple, dict(a=(5,), b=(3, -1), c=(-5,))),
-    (analysis.Extension, dict(triple=_TRIPLE, time=2, value=7,
-                              pre_ulrich=False, clashes=(Fraction(3, 2),))),
     (analysis.GreedyWord, dict(letters="aca")),
     (geometry.SchurWeight, dict(type=FlagType((1, 2)), entries=(4, 2, 2))),
     (geometry.CohomologyAnswer, dict(degree=1, dimension=6,
