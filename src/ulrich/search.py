@@ -46,13 +46,14 @@ Two independent engines:
   the walk's state is kept per block and updated incrementally, as in
   Knuth's dancing links: the entries, the top and bottom entry, and two
   bitmasks of the entries (bit v + OFF and bit OFF - v) are pushed with
-  each entry before a recursive call and restored after it, never rebuilt
-  at a node.  Both moves read a block's top and bottom at t0 straight
-  from its extremes (only the residues and the crossings with blocks two
-  or more apart read every placed entry).  Against an adjacent block the
-  crossing times are x - v or v - x; once the block's extremes put them
-  all in [t0, N], the whole set of time bits is one right shift of a
-  mask, and a clash is one AND with the covered times.
+  each entry before a recursive call and restored after it, by one
+  function for both moves, and never rebuilt at a node.  Both moves read
+  a block's top and bottom at t0 straight from its extremes (only the
+  residues and the crossings with blocks two or more apart read every
+  placed entry).  Against an adjacent block the crossing times are x - v
+  or v - x; once the block's extremes put them all in [t0, N], the whole
+  set of time bits is one right shift of a mask, and a clash is one AND
+  with the covered times.
 
   The node function is generated and compiled once per number of blocks
   R (``_node``): straight-line code with the blocks and their distances
@@ -301,9 +302,10 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
 
 # The source of ``_node``, less each block's crossing test and moves.
 _NODE_TEMPLATE = '''\
-def node(N, OFF, top, bot, fwd, rev, room, det, stop, due, tick, leaf,
+def node(N, OFF, top, bot, fwd, rev, lengths, det, stop, due, tick, leaf,
          descend, pair_moves):
     {dets} = det
+    {lengths} = lengths
     nodes = 0
 {crosses}
     def dfs(covered, placed):
@@ -352,19 +354,22 @@ def _node(R):
     completed).  When nothing is placed, ``run`` counts the root and makes
     the pair moves at time 1 with every block's window pinned to [0, 0].
 
-    The code has no loop over blocks.  Block m lies k*t0 lower at t0, with
-    k = R-1-m; each k*t0 and d*span is computed once per node.  Block b's
-    (B) targets are ``high``, the highest top of the later blocks at t0,
-    and ``low``, the lowest bottom of the earlier ones.  A placed entry at
-    q in block m confines a new entry of block b at t0 to [q+1,
-    q+span*(m-b)] when m > b and to [q-span*(b-m), q-1] when m < b, since
-    the two must cross at a time in [t0, N]; ``hi`` and ``lo`` are the
-    tightest of these bounds, and b's (D) window lies above ``high`` and
-    ``lo`` and below ``low`` and ``hi``; it is appended as (b, lo, hi,
-    k*t0), since a position p at t0 is the entry p + k*t0.  A middle block
-    tries ``low`` alone when its later blocks are all empty, ``high`` alone
-    when its earlier ones are, and otherwise the set {high, low}, which
-    fixes the order the two are tried in.
+    The code has no loop over blocks.  The blocks ``det{m}`` and the
+    type's lengths ``L{m}`` are unpacked once per walk, and block b makes
+    moves only while ``len(det{b}) < L{b}``; ``descend`` pushes each
+    child's entries.  Block m lies k*t0 lower at t0, with k = R-1-m; each
+    k*t0 and d*span is computed once per node.  Block b's (B) targets are
+    ``high``, the highest top of the later blocks at t0, and ``low``, the
+    lowest bottom of the earlier ones.  A placed entry at q in block m
+    confines a new entry of block b at t0 to [q+1, q+span*(m-b)] when m > b
+    and to [q-span*(b-m), q-1] when m < b, since the two must cross at a
+    time in [t0, N]; ``hi`` and ``lo`` are the tightest of these bounds,
+    and b's (D) window lies above ``high`` and ``lo`` and below ``low`` and
+    ``hi``; it is appended as (b, lo, hi, k*t0), since a position p at t0
+    is the entry p + k*t0.  A middle block tries ``low`` alone when its
+    later blocks are all empty, ``high`` alone when its earlier ones are,
+    and otherwise the set {high, low}, which fixes the order the two are
+    tried in.
     ``cross_b(x, t0, acc)`` tests the adjacent blocks first, each by a
     range check and then one shift of its mask, and then the blocks
     further away in order, with their distances as literals: two away by
@@ -427,7 +432,7 @@ def _node(R):
 
     def moves(b):
         later, earlier = range(b + 1, R), range(b)
-        lines = [f"if room[{b}]:"]
+        lines = [f"if len(det{b}) < L{b}:"]
         if later:
             lines += running("high", ">", [at(f"top{m}", m) for m in later])
             lines += running("hi", "<", [f"{at(f'bot{m}', m)} + {dspan[m - b]}"
@@ -472,6 +477,7 @@ def _node(R):
     multiples += [f"{dspan[d]} = span * {d}" for d in range(2, R)]
     source = _NODE_TEMPLATE.format(
         dets=", ".join(f"det{m}" for m in range(R)),
+        lengths=", ".join(f"L{m}" for m in range(R)),
         crosses=indent(sum(map(cross, range(R)), []), "    "),
         multiples=indent(multiples, "        "),
         tops=", ".join(f"top{m}" for m in range(R)),
@@ -497,13 +503,12 @@ def _walk(lengths, state, depth, deadline):
     ``placed`` counts the placed entries.  States with ``depth`` entries
     placed are not expanded but returned as snapshots, in the order the
     search reaches them, so a worker process can resume them.  The placed
-    entries live in ``det``; each block's top and bottom entry, its entry
-    masks ``fwd`` and ``rev`` and its ``room`` for more entries are built
-    once from ``state``, then ``place`` pushes an entry onto all of them
-    before a recursive call and ``unplace`` pops it and restores the saved
-    values after it.  The node ``dfs(covered, placed)``, the crossing
-    tests and ``run``, which makes the root's pair moves, come from
-    ``_node(R)``.
+    entries live in ``det``; each block's top and bottom entry and its
+    entry masks ``fwd`` and ``rev`` are built once from ``state``, and
+    ``descend`` alone pushes an entry onto all of them before a recursive
+    call and pops it after it.  The node ``dfs(covered, placed)``, the
+    crossing tests and ``run``, which makes the root's pair moves, come
+    from ``_node(R)``.
 
     Returns (found, frontier, nodes, completed): the canonical flat entries
     of each class found, the snapshots, the node count, and whether the walk
@@ -522,8 +527,6 @@ def _walk(lengths, state, depth, deadline):
     det = [list(block) for block in det]
     found = []
     frontier = []
-    # room[b]: how many entries block b still lacks.
-    room = [lengths[b] - len(det[b]) for b in range(R)]
     # Every placed entry v obeys |v| <= (R-1)(N+1): it meets an entry e
     # of the gauge pair in another block at a time t in [1, N], so
     # |v - e| = t*|m - b| <= N(R-1), and a gauge entry is in [0, R-1].
@@ -539,8 +542,8 @@ def _walk(lengths, state, depth, deadline):
     # FAR, which moved to t0 stay beyond 2*OFF - N(R-1), further out than
     # any real position, bound or candidate (within OFF + N(R-1) of 0):
     # it never wins a max or a min, passes every range check and adds no
-    # crossing time with its mask 0.  place() pushes an entry and returns
-    # what unplace() restores when it is popped.
+    # crossing time with its mask 0.  descend() pushes an entry and
+    # restores the saved values when it pops it.
     FAR = 2 * OFF
     top = [max(blk, default=-FAR) for blk in det]
     bot = [min(blk, default=FAR) for blk in det]
@@ -561,40 +564,25 @@ def _walk(lengths, state, depth, deadline):
         low = entries[-1]
         found.append(tuple([v - low for v in entries]))
 
-    def place(b, x):
-        saved = top[b], bot[b], fwd[b], rev[b]
-        det[b].append(x)
-        room[b] -= 1
-        if x > saved[0]:
-            top[b] = x
-        if x < saved[1]:
-            bot[b] = x
-        fwd[b] |= 1 << (x + OFF)
-        rev[b] |= 1 << (OFF - x)
-        return saved
-
-    def unplace(b, saved):
-        det[b].pop()
-        room[b] += 1
-        top[b], bot[b], fwd[b], rev[b] = saved
-
-    def descend(b, x, acc, placed):
-        """The (B) child: x joins block b, with covered times acc.  Most
-        children are (B) children, so place() and unplace() are inlined."""
+    def descend(b, x, acc, placed, j=-1, y=0):
+        """Push x onto block b, with covered times acc, walk the child and
+        pop x.  With j < 0 the child is the (B) child; otherwise y joins
+        block j first, and the child is the (D) child."""
         blk = det[b]
         saved_top, saved_bot = top[b], bot[b]
         saved_fwd, saved_rev = fwd[b], rev[b]
         blk.append(x)
-        room[b] -= 1
         if x > saved_top:
             top[b] = x
         if x < saved_bot:
             bot[b] = x
         fwd[b] = saved_fwd | 1 << (x + OFF)
         rev[b] = saved_rev | 1 << (OFF - x)
-        dfs(acc, placed + 1)
+        if j < 0:
+            dfs(acc, placed + 1)
+        else:
+            descend(j, y, acc, placed + 1)
         blk.pop()
-        room[b] += 1
         top[b], bot[b] = saved_top, saved_bot
         fwd[b], rev[b] = saved_fwd, saved_rev
 
@@ -611,10 +599,10 @@ def _walk(lengths, state, depth, deadline):
             for v in blk:
                 if v % d != v0:
                     return None
-            solved = _crt(r, M, v0, d)
-            if solved is None:
-                return None
-            r, M = solved
+            # Never None: placed entries of blocks a != b met at an integer
+            # time, so v_a = v_b (mod |a - b|), and gcd(|m1 - s|, |m2 - s|)
+            # divides |m1 - m2|: the folded congruences always agree.
+            r, M = _crt(r, M, v0, d)
         return r, M
 
     def pair_moves(windows, t0, covered, placed):
@@ -661,14 +649,10 @@ def _walk(lengths, state, depth, deadline):
                 acc = cross_j(y, t0, acc)
                 if acc < 0:
                     continue
-                saved_i = place(i, x)
-                saved_j = place(j, y)
-                dfs(acc, placed + 2)
-                unplace(j, saved_j)
-                unplace(i, saved_i)
+                descend(i, x, acc, placed, j, y)
 
     dfs, crosses, run = _node(R)(
-        N, OFF, top, bot, fwd, rev, room, det, stop,
+        N, OFF, top, bot, fwd, rev, lengths, det, stop,
         _NEVER if deadline is None else 1, tick, leaf, descend, pair_moves)
     nodes, completed = run(covered, placed)
     return found, frontier if completed else [], nodes, completed

@@ -329,6 +329,26 @@ class TestVerify:
         assert err.startswith(f"error: checkpoint {path} line 2:")
         assert repr(field) in err
 
+    def test_checkpoint_line_that_is_no_object(self, tmp_path, capsys):
+        path = tmp_path / "ck.jsonl"
+        path.write_text("[]\n")
+        assert run(["verify", "multistep", "4", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {path} line 1: "
+            "a report record must be a JSON object\n")
+
+    @pytest.mark.parametrize("claim, bound, types", [
+        ("multistep", "total length <= 7", 64),
+        ("conjecture", "sum <= 10", 4),
+    ])
+    def test_default_bound(self, claim, bound, types, capsys):
+        # With no bound, each claim sweeps to its default.
+        assert run(["verify", "--json", claim]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["claim"].endswith(bound)
+        assert payload["holds"] is True
+        assert len(payload["types"]) == types
+
     @pytest.mark.parametrize("claim, bound, least", [
         ("multistep", "-3", 4), ("multistep", "3", 4),
         ("conjecture", "8", 9), ("conjecture", "0", 9),

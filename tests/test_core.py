@@ -59,6 +59,15 @@ class TestFlagType:
         with pytest.raises(ValueError, match="must be ints"):
             FlagType(lengths)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty partition string"), (" \n", "empty partition string"),
+        ("1,x|0", "bad block '1,x' in partition string '1,x|0'"),
+    ])
+    def test_malformed_string_refused(self, text, message):
+        with pytest.raises(ValueError) as info:
+            core.parse_partition(text)
+        assert str(info.value) == message
+
     def test_refused_type_is_not_cached(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="two blocks"):

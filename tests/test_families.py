@@ -195,6 +195,10 @@ class TestElongation:
         with pytest.raises(ValueError, match="even"):
             families.elongate(parse_partition("5,2|1|-2"))
 
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            families.elongated_family(-1, 2)
+
     def test_brute_oracle(self):
         assert brute_is_ulrich(families.elongated_family(2, 2))
 

@@ -664,6 +664,12 @@ class TestReportSerialization:
         assert (report_from_dict(data).nodes,
                 report_from_dict(data).elapsed) == (0, 0)
 
+    @pytest.mark.parametrize("data", [[], None, "report", 1])
+    def test_record_that_is_no_object_refused(self, data):
+        with pytest.raises(ValueError,
+                           match="a report record must be a JSON object"):
+            report_from_dict(data)
+
 
 class TestSweeps:
     def test_no_multistep_small(self):

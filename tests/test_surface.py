@@ -23,7 +23,9 @@ So a ``list.extend(...)`` does not keep a function ``extend`` alive.  An
 import is not a reference, so a re-export in ``__init__`` keeps nothing
 alive either.  Methods are matched by name, not binding: any ``ast.Name``
 or ``ast.Attribute`` of the name counts, so a stray ``dimension`` property
-is covered by every ``P.dimension`` in the package.
+is covered by every ``P.dimension`` in the package.  A function nested in
+another (a closure of ``search._walk``, a helper of ``search._node``) must
+be read by name in its enclosing function, outside its own body.
 """
 
 from __future__ import annotations
@@ -114,6 +116,22 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _nested(node: ast.AST):
+    """The functions defined in ``node``'s body and not inside another
+    function or class of it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        elif not isinstance(child, ast.ClassDef):
+            yield from _nested(child)
+
+
+def _reads(node: ast.AST, name: str) -> int:
+    """How often ``name`` is read as a bare name under ``node``."""
+    return sum(isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+               and sub.id == name for sub in ast.walk(node))
+
+
 def unreferenced(sources=None) -> set[tuple[str, str]]:
     """(module, qualified name) of every definition nothing else names.
 
@@ -143,6 +161,10 @@ def unreferenced(sources=None) -> set[tuple[str, str]]:
                 left = everywhere[name] - _names(node)[name]
             if left == 0:
                 missing.add((module, qualname))
+        for qualname, outer in _functions(tree, ""):
+            for inner in _nested(outer):
+                if _reads(outer, inner.name) == _reads(inner, inner.name):
+                    missing.add((module, f"{qualname}.{inner.name}"))
     return missing
 
 
@@ -184,6 +206,23 @@ def test_methods_are_matched_by_name():
               "    def lonely(self):\n        return self.lonely()\n"
               "def f(x):\n    return x.helper()\nf(C())\n")
     assert unreferenced({"m": source}) == {("m", "C.lonely")}
+
+
+def test_nested_functions_need_a_read_in_their_enclosing_function():
+    # A closure that only calls itself, or whose name is read only outside
+    # the function that defines it, has no caller; a read in a sibling
+    # closure or a method's own body keeps one alive.
+    source = ("def walk():\n    def place(b):\n        return place(b)\n"
+              "    def push(b):\n        pass\n"
+              "    def descend(b):\n        push(b)\n"
+              "    def pop(b):\n        pass\n"
+              "    return descend\n"
+              "class C:\n    def run(self):\n        def step():\n"
+              "            pass\n        def lost():\n            pass\n"
+              "        step()\n"
+              "walk()\nC().run()\npop(1)\nlost()\n")
+    assert unreferenced({"m": source}) == {
+        ("m", "walk.place"), ("m", "walk.pop"), ("m", "C.run.lost")}
 
 
 def test_scan_exempts_module_hooks_and_nothing_else():
@@ -236,7 +275,7 @@ def _functions(node: ast.AST, prefix: str):
     for child in ast.iter_child_nodes(node):
         name = prefix
         if isinstance(child, (*functions, ast.ClassDef)):
-            name = f"{prefix}.{child.name}"
+            name = f"{prefix}.{child.name}" if prefix else child.name
         if isinstance(child, functions):
             yield name, child
         yield from _functions(child, name)
