@@ -219,45 +219,36 @@ def dual_blocks_centered(P: BlockedPartition):
     return a_star, T.b, c_star
 
 
-def trapezoid_check(P: BlockedPartition, a: int, a_star: int,
-                    c: int, c_star: int) -> bool:
-    """Check the trapezoid rule on one quadruple.
-
-    Preconditions: a in A, a* in A*, c in C, c* in C* (middle-fixed dual) and
-    a* - a = c - c*.  Returns whether N+1 = a* - c = a - c*; this must hold
-    for every such quadruple of an Ulrich partition, and a failure on a
-    candidate partition certifies it non-Ulrich.
-    """
-    T = triple_of(P)
-    astars, _, cstars = dual_blocks_centered(P)
-    if a not in T.a or c not in T.c:
-        raise ValueError("a must lie in A and c in C")
-    if a_star not in astars or c_star not in cstars:
-        raise ValueError("a* must lie in A* and c* in C*")
-    if a_star - a != c - c_star:
-        raise ValueError("hypothesis a* - a = c - c* not satisfied")
-    n1 = P.dimension + 1
-    return a_star - c == n1 and a - c_star == n1
-
-
 def trapezoid_witnesses(P: BlockedPartition):
-    """Yield every (a, a*, c, c*) quadruple satisfying the rule's hypothesis."""
-    T = triple_of(P)
-    astars, _, cstars = dual_blocks_centered(P)
-    for a in T.a:
+    """Yield every (a, a*, c, c*) quadruple satisfying the rule's hypothesis
+    a* - a = c - c*: a in A, a* in A*, c in C, c* in C* (middle-fixed dual)."""
+    astars, _, cstars = dual_blocks_centered(P)  # refuses a non-triple
+    A, _, C = P.blocks
+    for a in A:
         for a_star in astars:
-            for c in T.c:
+            for c in C:
                 for c_star in cstars:
                     if a_star - a == c - c_star:
                         yield a, a_star, c, c_star
 
 
+def trapezoid_check(P: BlockedPartition) -> bool:
+    """Check the trapezoid rule on every quadruple of ``trapezoid_witnesses``.
+
+    Returns whether N+1 = a* - c = a - c* on each; the hypothesis makes the
+    two differences equal.  The rule holds for every Ulrich partition, and a
+    failure on a candidate partition certifies it non-Ulrich.
+    """
+    n1 = P.dimension + 1
+    return all(a_star - c == n1 for _, a_star, c, _ in trapezoid_witnesses(P))
+
+
 def rectangle_check(P: BlockedPartition) -> bool:
     """Check the rectangle rule: A and A* (resp. C and C*) share at most one entry."""
-    T = triple_of(P)
-    astars, _, cstars = dual_blocks_centered(P)
-    return (len(set(T.a) & set(astars)) <= 1
-            and len(set(T.c) & set(cstars)) <= 1)
+    astars, _, cstars = dual_blocks_centered(P)  # refuses a non-triple
+    A, _, C = P.blocks
+    return (len(set(A) & set(astars)) <= 1
+            and len(set(C) & set(cstars)) <= 1)
 
 
 def sumset_decompose(P: BlockedPartition):

@@ -7,7 +7,8 @@ e.g. "2,8,2".
 Exit codes: 0 success / positive verdict; 1 negative verdict (not Ulrich,
 identity fails, counterexample found); 2 usage error, unreadable or
 unwritable file, or malformed checkpoint; 3 resource budget exhausted before
-completion.
+completion; 141 (128 + SIGPIPE, as a shell reports a tool killed by SIGPIPE)
+the reader closed stdout, which is not reported on stderr.
 
 Only what parsing needs loads at start-up: ``core``, ``families`` (for the
 ``family`` table) and ``analysis``, which ``families`` imports.  Each
@@ -34,18 +35,14 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _usage(message: str) -> SystemExit:
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
+EXIT_PIPE = 141
 
 
 def _parse_type(text: str) -> FlagType:
     try:
         return FlagType(tuple(int(x) for x in text.replace("|", ",").split(",")))
     except ValueError as exc:
-        raise _usage(f"bad type {text!r}: {exc}")
+        raise ValueError(f"bad type {text!r}: {exc}")
 
 
 def _resource_type(convert, field: str):
@@ -67,14 +64,29 @@ def _resource_type(convert, field: str):
     return parse
 
 
+class _StdoutClosed(Exception):
+    """Raised by ``_print`` when the reader has closed stdout."""
+
+
+def _print(lines) -> None:
+    """Print each line to stdout and flush.  On a closed stdout, point fd 1
+    at os.devnull (the SIGPIPE note in the Python docs), so that the flush
+    at exit cannot fail again, and raise _StdoutClosed."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _StdoutClosed from None
+
+
 def _emit(args, payload: dict, lines) -> None:
     if args.json:
         import json
         payload["schema"] = 1
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(payload)]
+    _print(lines)
 
 
 def _verdict(P) -> tuple[bool, str | None]:
@@ -109,7 +121,7 @@ def _cmd_diagram(args) -> int:
     if args.svg is not None:
         text = diagram.render_svg(P)
         if args.svg == "-":
-            print(text)
+            _print([text])
         else:
             with open(args.svg, "w") as fh:
                 fh.write(text)
@@ -131,7 +143,7 @@ def _cmd_enumerate(args) -> int:
     ft = _parse_type(args.type)
     if args.method == "baseline":
         if args.threads != 1 or args.budget_seconds is not None:
-            raise _usage("the baseline method takes no limits, 1 worker")
+            raise ValueError("the baseline method takes no limits, 1 worker")
         start = time.monotonic()
         classes = search.baseline_oracle(ft)
         report = search.SearchReport(ft, classes, 0, time.monotonic() - start,
@@ -174,11 +186,11 @@ def _cmd_family(args) -> int:
             try:
                 params.append(int(raw))
             except ValueError:
-                raise _usage(f"bad parameter {raw!r} for {args.name}")
+                raise ValueError(f"bad parameter {raw!r} for {args.name}")
     try:
         P = builder(*params)
     except (TypeError, ValueError) as exc:
-        raise _usage(f"family {args.name}: {exc}")
+        raise ValueError(f"family {args.name}: {exc}")
     _emit(args, {
         "command": "family",
         "family": args.name,
@@ -220,7 +232,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"greedy word: {word}")
         rect = analysis.rectangle_check(P)
         quads = list(analysis.trapezoid_witnesses(P))
-        trap = all(analysis.trapezoid_check(P, *q) for q in quads)
+        trap = analysis.trapezoid_check(P)
         payload["rectangle_ok"] = rect
         payload["trapezoid_ok"] = trap
         payload["trapezoid_quadruples"] = len(quads)
@@ -302,7 +314,7 @@ def _cmd_geometry(args) -> int:
             pol = geometry.PolarizationWeights(
                 tuple(int(x) for x in args.polarization.split(",")))
         except ValueError as exc:
-            raise _usage(f"bad --polarization {args.polarization!r}: {exc}")
+            raise ValueError(f"bad --polarization {args.polarization!r}: {exc}")
     w = geometry.to_weight(P)
     h0, rank, degree, holds = geometry.ulrich_identity_check(P, pol)
     dim = geometry.flag_dimension(P.type)
@@ -441,10 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; SystemExit comes only
+    from argparse (a parse error or ``--help``)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _StdoutClosed:
+        return EXIT_PIPE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

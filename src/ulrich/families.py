@@ -142,9 +142,7 @@ def elongate(P: BlockedPartition) -> BlockedPartition:
         raise ValueError(f"elongation needs a2 = -c1, got {a2} and {c1}")
     if (a1 - a2) % 2:
         raise ValueError("elongation needs a1 - a2 even")
-    m = (a1 - a2) // 2
-    if m < 1:
-        raise ValueError("elongation needs a1 > a2")
+    m = (a1 - a2) // 2  # at least 1: blocks strictly decrease, so a1 > a2
     middle = (list(range(y + 3 * m - 1, y + 2 * m - 1, -1))
               + list(b)
               + list(range(-y - m, -y - 2 * m, -1)))

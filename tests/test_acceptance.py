@@ -237,8 +237,7 @@ def test_criterion_10_structure_rules():
                 gaps_seen.add(gap)
                 assert gap in {1, 3, 5}
             assert analysis.rectangle_check(P)
-            for quad in analysis.trapezoid_witnesses(P):
-                assert analysis.trapezoid_check(P, *quad)
+            assert analysis.trapezoid_check(P)
             word = analysis.greedy_word(P)
             assert analysis.replay(word.letters, b).as_partition() == P
         assert gaps_seen == {1, 3, 5}

@@ -182,6 +182,9 @@ class TestGreedyWord:
     def test_walkthrough_words(self, name, word):
         assert analysis.greedy_word(families.sporadic(name)).letters == word
 
+    def test_str_is_the_letters(self):
+        assert str(analysis.greedy_word(families.sporadic("222"))) == "acca"
+
     def test_greedy_needs_ulrich(self):
         with pytest.raises(ValueError, match="Ulrich"):
             analysis.greedy_word(core.parse_partition("6,1|0|-3"))
@@ -295,25 +298,13 @@ class TestBoundaryRules:
         for P in [families.sporadic("222"), families.sporadic("322"),
                   families.p_u(2), families.two_param(0, 1),
                   families.elongated_family(1, 2)]:
-            quads = list(analysis.trapezoid_witnesses(P))
-            assert all(analysis.trapezoid_check(P, *q) for q in quads)
-
-    def test_trapezoid_validates_arguments(self):
-        # For (12,4|3,0|-2,-8): A* = C + 13 = (11, 5), C* = A - 13 = (-1, -9).
-        P = families.sporadic("222")
-        with pytest.raises(ValueError, match="lie in A"):
-            analysis.trapezoid_check(P, 999, 11, -2, -1)
-        with pytest.raises(ValueError, match=r"lie in A\*"):
-            analysis.trapezoid_check(P, 12, 10, -2, -1)
-        with pytest.raises(ValueError, match="hypothesis"):
-            analysis.trapezoid_check(P, 12, 11, -2, -9)
+            assert analysis.trapezoid_check(P)
 
     def test_rules_hold_for_all_small_ulrich(self):
         for ft in helpers.all_types(12, max_blocks=3, min_blocks=3):
             for P in search.baseline_oracle(ft):
                 assert analysis.rectangle_check(P)
-                for quad in analysis.trapezoid_witnesses(P):
-                    assert analysis.trapezoid_check(P, *quad)
+                assert analysis.trapezoid_check(P)
 
     def test_trapezoid_fails_somewhere_off_ulrich(self):
         """The rules have teeth: some valid non-Ulrich partition violates
@@ -324,8 +315,7 @@ class TestBoundaryRules:
                 P = core.from_blocks(blocks)
                 if core.is_ulrich(P):
                     continue
-                if not all(analysis.trapezoid_check(P, *q)
-                           for q in analysis.trapezoid_witnesses(P)):
+                if not analysis.trapezoid_check(P):
                     trapezoid_broken = True
                 if not analysis.rectangle_check(P):
                     rectangle_broken = True

@@ -9,29 +9,36 @@ from __future__ import annotations
 
 import importlib.metadata as md
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ulrich import cli, search
+from ulrich import cli, core, search
 from ulrich.cli import main
 from ulrich.core import FlagType
 from ulrich.search import SearchReport
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 SRC = Path(cli.__file__).resolve().parent.parent
 
 
-def declared_scripts():
-    """The ``[project.scripts]`` table of the repository's pyproject.toml."""
+def declared_project():
+    """The ``[project]`` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)["project"]
+
+
+def declared_scripts():
+    """The ``[project.scripts]`` table of the repository's pyproject.toml."""
+    return declared_project()["scripts"]
 
 
 def installed_distribution():
@@ -42,7 +49,8 @@ def installed_distribution():
 
 
 def run(argv):
-    """main() returns an int normally, raises SystemExit on usage errors."""
+    """main() returns an int; SystemExit comes only from argparse, on a
+    parse error or ``--help``."""
     try:
         return main(argv)
     except SystemExit as exc:
@@ -526,6 +534,64 @@ class TestParser:
         ours = [ep.value for ep in eps
                 if ep.group == "console_scripts" and ep.name == "ulrich"]
         assert ours == [declared_scripts()["ulrich"]]
+
+
+class TestProjectFiles:
+    def test_version_matches_pyproject(self):
+        import ulrich
+        assert ulrich.__version__ == declared_project()["version"]
+
+    def test_readme_library_tour_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        tour = readme.split("## Library tour", 1)[1]
+        code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); exec(sys.argv[2])",
+             str(SRC), code], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
+class TestClosedStdout:
+    """A reader that stops reading ends the command quietly with 141."""
+
+    def close_after(self, nbytes, argv):
+        """Run ``python -m ulrich.cli argv``, read ``nbytes`` of its stdout
+        and close it: (exit code, stderr).  With 0, the read end is closed
+        before the command starts, so its first write finds no reader."""
+        read_end, write_end = os.pipe()
+        reader = os.fdopen(read_end, "rb")
+        if not nbytes:
+            reader.close()
+        with subprocess.Popen(
+                [sys.executable, "-m", "ulrich.cli", *argv], cwd=SRC,
+                stdout=write_end, stderr=subprocess.PIPE) as proc:
+            os.close(write_end)
+            if nbytes:
+                reader.read(nbytes)
+                reader.close()
+            err = proc.stderr.read()
+            return proc.wait(timeout=60), err
+
+    @pytest.mark.parametrize("argv", [["enumerate", "1,12,1"],
+                                      ["enumerate", "1,12,1", "--json"]])
+    def test_reader_closes_mid_output(self, argv):
+        assert self.close_after(10, argv) == (141, b"")
+
+    def test_reader_closes_at_once(self):
+        argv = ["check", "12,4|3,0|-2,-8"]
+        assert self.close_after(0, argv) == (141, b"")
+
+    def test_other_broken_pipe_is_an_error(self, monkeypatch, capsys):
+        # Only stdout's own reader is quiet: a BrokenPipeError from
+        # anything else a handler runs is one error line and exit 2.
+        def broken(P):
+            raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(core, "witness", broken)
+        assert run(["check", "12,4|3,0|-2,-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestFreshInterpreter:
